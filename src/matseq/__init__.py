@@ -81,12 +81,14 @@ from .invariants import (
     trace_word,
 )
 from .triangular import (
+    Profile,
     ReductionInfo,
     TriangularizationWitness,
     commutes,
     complete_unimodular,
     eigenvalues_in_ring,
     eigenvector_for,
+    first_obstruction,
     is_commutative,
     is_eigenvector,
     is_triangularizable,

@@ -36,7 +36,6 @@ from .errors import (
     UnsupportedRing,
     ZeroC2,
 )
-from .invariants import big_delta, sigma
 from .matcore import GroupElement, Mat2, MatSeq, conjugate, lift_mat, lift_seq
 from .rings import (
     RingDescriptor,
@@ -48,11 +47,11 @@ from .rings import (
 )
 from .similarity import PhiVector, PsiValue
 from .triangular import (
+    Profile,
     eigenvalues_in_ring,
     eigenvector_for,
     is_commutative,
     is_eigenvector,
-    maximal_reduction,
 )
 
 
@@ -92,71 +91,48 @@ class CanonicalResult:
 
 
 # ---------------------------------------------------------------------------
-# anchor scans (all 0-based internally, 1-based in permutations)
-
-
-def _first_sigma_pair(s: MatSeq) -> tuple[int, int] | None:
-    for j in range(s.n):
-        for k in range(j + 1, s.n):
-            if not sigma(s[j], s[k]).is_zero():
-                return (j, k)
-    return None
-
-
-def _first_delta_triple(s: MatSeq) -> tuple[int, int, int] | None:
-    for j in range(s.n):
-        for k in range(j + 1, s.n):
-            for l in range(k + 1, s.n):
-                if not big_delta(s[j], s[k], s[l]).is_zero():
-                    return (j, k, l)
-    return None
-
-
-def _first_nonscalar(s: MatSeq) -> int | None:
-    for i, t in enumerate(s.terms):
-        if not t.is_scalar():
-            return i
-    return None
+# permutations (0-based internally, 1-based in the result)
 
 
 def _identity_perm(n: int) -> tuple[int, ...]:
     return tuple(range(1, n + 1))
 
 
-def _front_perm(front: list[int], n: int) -> tuple[int, ...]:
+def _front_perm(front: tuple[int, ...], n: int) -> tuple[int, ...]:
     rest = [i for i in range(n) if i not in set(front)]
-    return tuple(i + 1 for i in front + rest)
+    return tuple(i + 1 for i in (*front, *rest))
 
 
 # ---------------------------------------------------------------------------
 # classification
 
 
-def classify(s: MatSeq) -> CanonicalTag:
+def classify(s: MatSeq | Profile) -> CanonicalTag:
     """The canonical-form case of s (deterministic, conjugation-invariant)."""
+    p = Profile.of(s)
+    s = p.seq
     if not s.ring.is_field:
         raise UnsupportedRing("canonical forms are computed over fields")
     if is_commutative(s):
-        k = _first_nonscalar(s)
-        if k is None:
+        kept = p.reduction.kept_indices
+        if not kept:
             return CanonicalTag.ALL_SCALAR
-        if s[k].disc().is_zero():
+        if s.term(kept[0]).disc().is_zero():
             return CanonicalTag.COMM_JORDAN_LIKE
         return CanonicalTag.COMM_DIAGONAL
     if s.ring.characteristic() == 2:
         raise Char2Unsupported("non-commutative canonical forms need characteristic != 2")
-    pair = _first_sigma_pair(s)
-    if pair is not None:
-        j, k = pair
-        if s[j].disc().is_zero() and s[k].disc().is_zero():
-            return CanonicalTag.STABLE_1B
-        return CanonicalTag.STABLE_1A
-    if _first_delta_triple(s) is not None:
+    obstruction = p.obstruction
+    if obstruction is None:
+        if any(s.term(i).disc().is_zero() for i in p.reduction.kept_indices):
+            return CanonicalTag.TRI_2B
+        return CanonicalTag.TRI_2A
+    if len(obstruction) == 3:
         return CanonicalTag.STABLE_1C
-    red = maximal_reduction(s)
-    if any(s.term(i).disc().is_zero() for i in red.kept_indices):
-        return CanonicalTag.TRI_2B
-    return CanonicalTag.TRI_2A
+    j, k = obstruction
+    if s[j].disc().is_zero() and s[k].disc().is_zero():
+        return CanonicalTag.STABLE_1B
+    return CanonicalTag.STABLE_1A
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +159,19 @@ def _basis_change(v: tuple[Scalar, Scalar], w: tuple[Scalar, Scalar]) -> GroupEl
     return GroupElement(p).inverse()
 
 
-def _diag_conjugator(a: Mat2, lam1: Scalar, lam2: Scalar) -> GroupElement:
-    v1 = primitive_vector(eigenvector_for(a, lam1))
-    v2 = primitive_vector(eigenvector_for(a, lam2))
-    return _basis_change(v1, v2)
+def _eigenbasis(s: MatSeq, k: int = 0, shared: int = 0) -> tuple[MatSeq, GroupElement, RingDescriptor | None]:
+    """Lift s if the eigenvalues of s[k] need it, then conjugate onto the
+    eigenbasis of s[k], first the eigenline that the first ``shared`` terms
+    also have (the first eigenvalue's if both do).  Returns (form, g, ext)."""
+    lam1, lam2, ext = _eigen_with_extension(s[k])
+    s = _lift(s, ext)
+    v1 = primitive_vector(eigenvector_for(s[k], lam1))
+    v2 = primitive_vector(eigenvector_for(s[k], lam2))
+    for u, w in ((v1, v2), (v2, v1)):
+        if all(is_eigenvector(m, u) for m in s.terms[:shared]):
+            g = _basis_change(u, w)
+            return conjugate(g, s), g, ext
+    raise InternalInconsistency("the leading terms share no eigenline")
 
 
 def _jordanizer(a: Mat2) -> tuple[GroupElement, Scalar]:
@@ -220,36 +205,28 @@ def _lift(s: MatSeq, ext: RingDescriptor | None) -> MatSeq:
 # canonicalize, case by case
 
 
-def _canon_comm_diagonal(s: MatSeq) -> CanonicalResult:
-    k = _first_nonscalar(s)
-    lam1, lam2, ext = _eigen_with_extension(s[k])
-    sp = _lift(s, ext)
-    g = _diag_conjugator(sp[k], lam1, lam2)
-    form = conjugate(g, sp)
+def _canon_comm_diagonal(p: Profile) -> CanonicalResult:
+    form, g, ext = _eigenbasis(p.seq, p.reduction.kept_indices[0] - 1)
     if not all(t.is_diagonal() for t in form.terms):
         raise InternalInconsistency("commuting terms did not diagonalize together")
-    return CanonicalResult(CanonicalTag.COMM_DIAGONAL, _identity_perm(s.n), form, g, ext)
+    return CanonicalResult(CanonicalTag.COMM_DIAGONAL, _identity_perm(p.seq.n), form, g, ext)
 
 
-def _canon_comm_jordan(s: MatSeq) -> CanonicalResult:
-    k = _first_nonscalar(s)
-    g, _ = _jordanizer(s[k])
-    form = conjugate(g, s)
+def _canon_comm_jordan(p: Profile) -> CanonicalResult:
+    g, _ = _jordanizer(p.seq.term(p.reduction.kept_indices[0]))
+    form = conjugate(g, p.seq)
     if not all(t.is_upper_triangular() and t.e.is_zero() for t in form.terms):
         raise InternalInconsistency("commuting terms did not reach the Jordan-like form")
-    return CanonicalResult(CanonicalTag.COMM_JORDAN_LIKE, _identity_perm(s.n), form, g, None)
+    return CanonicalResult(CanonicalTag.COMM_JORDAN_LIKE, _identity_perm(p.seq.n), form, g, None)
 
 
-def _canon_stable_1a(s: MatSeq) -> CanonicalResult:
-    j, k = _first_sigma_pair(s)
+def _canon_stable_1a(p: Profile) -> CanonicalResult:
+    s = p.seq
+    j, k = p.obstruction
     if s[j].disc().is_zero():
         j, k = k, j
-    perm = _front_perm([j, k], s.n)
-    sp = s.permuted(perm)
-    lam1, lam2, ext = _eigen_with_extension(sp[0])
-    sp = _lift(sp, ext)
-    g1 = _diag_conjugator(sp[0], lam1, lam2)
-    t = conjugate(g1, sp)
+    perm = _front_perm((j, k), s.n)
+    t, g1, ext = _eigenbasis(s.permuted(perm))
     b2 = t[1].b
     if b2.is_zero() or t[1].c.is_zero():
         raise InternalInconsistency("nonzero pair obstruction with a triangular second term")
@@ -257,10 +234,9 @@ def _canon_stable_1a(s: MatSeq) -> CanonicalResult:
     return CanonicalResult(CanonicalTag.STABLE_1A, perm, conjugate(g2, t), g2 * g1, ext)
 
 
-def _canon_stable_1b(s: MatSeq) -> CanonicalResult:
-    j, k = _first_sigma_pair(s)
-    perm = _front_perm([j, k], s.n)
-    sp = s.permuted(perm)
+def _canon_stable_1b(p: Profile) -> CanonicalResult:
+    perm = _front_perm(p.obstruction, p.seq.n)
+    sp = p.seq.permuted(perm)
     g1, _ = _jordanizer(sp[0])
     t = conjugate(g1, sp)
     a2 = t[1]
@@ -288,22 +264,10 @@ def _canon_stable_1b(s: MatSeq) -> CanonicalResult:
     return CanonicalResult(CanonicalTag.STABLE_1B, perm, form, g, ext)
 
 
-def _canon_stable_1c(s: MatSeq) -> CanonicalResult:
-    j, k, l = _first_delta_triple(s)
-    perm = _front_perm([j, k, l], s.n)
-    sp = s.permuted(perm)
-    lam1, lam2, ext = _eigen_with_extension(sp[0])
-    sp = _lift(sp, ext)
-    v1 = primitive_vector(eigenvector_for(sp[0], lam1))
-    v2 = primitive_vector(eigenvector_for(sp[0], lam2))
+def _canon_stable_1c(p: Profile) -> CanonicalResult:
+    perm = _front_perm(p.obstruction, p.seq.n)
     # the eigenline shared with the second term goes first (second term upper)
-    if is_eigenvector(sp[1], v1):
-        g1 = _basis_change(v1, v2)
-    elif is_eigenvector(sp[1], v2):
-        g1 = _basis_change(v2, v1)
-    else:
-        raise InternalInconsistency("vanishing pair obstruction without a shared eigenline")
-    t = conjugate(g1, sp)
+    t, g1, ext = _eigenbasis(p.seq.permuted(perm), shared=2)
     if not t[1].c.is_zero() or t[1].b.is_zero():
         raise InternalInconsistency("second term did not become strictly upper")
     if not t[2].b.is_zero() or t[2].c.is_zero():
@@ -312,28 +276,17 @@ def _canon_stable_1c(s: MatSeq) -> CanonicalResult:
     return CanonicalResult(CanonicalTag.STABLE_1C, perm, conjugate(g2, t), g2 * g1, ext)
 
 
-def _canon_triangular(s: MatSeq, tag: CanonicalTag) -> CanonicalResult:
-    red = maximal_reduction(s)
-    kept = [i - 1 for i in red.kept_indices]
+def _canon_triangular(p: Profile, tag: CanonicalTag) -> CanonicalResult:
+    s = p.seq
+    kept = [i - 1 for i in p.reduction.kept_indices]
     if tag is CanonicalTag.TRI_2B:
         kk = next(i for i in kept if s[i].disc().is_zero())
         jj = next(i for i in kept if not s[i].disc().is_zero())
     else:
         jj, kk = kept[0], kept[1]
-    perm = _front_perm([jj, kk], s.n)
-    sp = s.permuted(perm)
-    lam1, lam2, ext = _eigen_with_extension(sp[0])
-    sp = _lift(sp, ext)
-    v1 = primitive_vector(eigenvector_for(sp[0], lam1))
-    v2 = primitive_vector(eigenvector_for(sp[0], lam2))
+    perm = _front_perm((jj, kk), s.n)
     # the eigenline common to the whole sequence goes first
-    if all(is_eigenvector(m, v1) for m in sp.terms):
-        g1 = _basis_change(v1, v2)
-    elif all(is_eigenvector(m, v2) for m in sp.terms):
-        g1 = _basis_change(v2, v1)
-    else:
-        raise InternalInconsistency("triangularizable sequence without a common eigenline")
-    t = conjugate(g1, sp)
+    t, g1, ext = _eigenbasis(s.permuted(perm), shared=s.n)
     if not all(m.is_upper_triangular() for m in t.terms):
         raise InternalInconsistency("sequence did not become upper triangular")
     b2 = t[1].b
@@ -343,24 +296,25 @@ def _canon_triangular(s: MatSeq, tag: CanonicalTag) -> CanonicalResult:
     return CanonicalResult(tag, perm, conjugate(g2, t), g2 * g1, ext)
 
 
-def canonicalize(s: MatSeq) -> CanonicalResult:
+def canonicalize(s: MatSeq | Profile) -> CanonicalResult:
     """Conjugate s (after a deterministic rearrangement) onto the canonical
     representative of its orbit; at most one quadratic extension is adjoined."""
-    tag = classify(s)
+    p = Profile.of(s)
+    tag = classify(p)
     if tag is CanonicalTag.ALL_SCALAR:
-        return CanonicalResult(tag, _identity_perm(s.n), s,
-                               GroupElement.identity(s.ring), None)
+        return CanonicalResult(tag, _identity_perm(p.seq.n), p.seq,
+                               GroupElement.identity(p.seq.ring), None)
     if tag is CanonicalTag.COMM_DIAGONAL:
-        return _canon_comm_diagonal(s)
+        return _canon_comm_diagonal(p)
     if tag is CanonicalTag.COMM_JORDAN_LIKE:
-        return _canon_comm_jordan(s)
+        return _canon_comm_jordan(p)
     if tag is CanonicalTag.STABLE_1A:
-        return _canon_stable_1a(s)
+        return _canon_stable_1a(p)
     if tag is CanonicalTag.STABLE_1B:
-        return _canon_stable_1b(s)
+        return _canon_stable_1b(p)
     if tag is CanonicalTag.STABLE_1C:
-        return _canon_stable_1c(s)
-    return _canon_triangular(s, tag)
+        return _canon_stable_1c(p)
+    return _canon_triangular(p, tag)
 
 
 # ---------------------------------------------------------------------------
@@ -593,21 +547,18 @@ class DesingularizeTransform:
         return MatSeq(terms).permuted(tuple(inverse))
 
 
-def desingularize_for_reconstruction(s: MatSeq) -> tuple[MatSeq, DesingularizeTransform]:
+def desingularize_for_reconstruction(s: MatSeq | Profile) -> tuple[MatSeq, DesingularizeTransform]:
     """Re-base a stable sequence with degenerate leading pair into the
     semisimple reconstruction domain (first term diagonalizable over the
     closure, first pair non-commuting)."""
-    tag = classify(s)
+    p = Profile.of(s)
+    tag = classify(p)
+    if tag not in (CanonicalTag.STABLE_1B, CanonicalTag.STABLE_1C):
+        raise NotApplicable(f"desingularization applies to Stable1b/Stable1c, not {tag.value}")
+    perm = _front_perm(p.obstruction, p.seq.n)
+    sp = p.seq.permuted(perm)
     if tag is CanonicalTag.STABLE_1B:
-        j, k = _first_sigma_pair(s)
-        perm = _front_perm([j, k], s.n)
-        sp = s.permuted(perm)
         out = MatSeq([sp[0] - sp[1], sp[0] + sp[1], *sp.terms[2:]])
         return out, DesingularizeTransform("pair", perm)
-    if tag is CanonicalTag.STABLE_1C:
-        j, k, l = _first_delta_triple(s)
-        perm = _front_perm([j, k, l], s.n)
-        sp = s.permuted(perm)
-        out = MatSeq([sp[0], sp[1] + sp[2], sp[1] - sp[2], *sp.terms[3:]])
-        return out, DesingularizeTransform("triple", perm)
-    raise NotApplicable(f"desingularization applies to Stable1b/Stable1c, not {tag.value}")
+    out = MatSeq([sp[0], sp[1] + sp[2], sp[1] - sp[2], *sp.terms[3:]])
+    return out, DesingularizeTransform("triple", perm)

@@ -50,10 +50,10 @@ from .similarity import (
     psi_prime,
 )
 from .triangular import (
+    Profile,
     is_commutative,
     is_triangularizable,
     is_triangularizable_fast,
-    maximal_reduction,
     triangularize,
 )
 
@@ -87,8 +87,9 @@ def _verify_failure(what: str) -> InternalInconsistency:
 
 def _cmd_analyze(obj, verify: bool):
     s = matseq_from_json(obj)
-    red = maximal_reduction(s)
-    verdict = is_triangularizable(s)
+    p = Profile(s)
+    red = p.reduction
+    verdict = is_triangularizable(p)
     out = {
         "ring": ring_to_json(s.ring),
         "n": s.n,
@@ -99,10 +100,10 @@ def _cmd_analyze(obj, verify: bool):
         "triangularizable": verdict,
     }
     if s.ring.is_field:
-        out["stable"] = is_stable(s)
-        out["semisimple"] = is_semisimple(s)
+        out["stable"] = is_stable(p)
+        out["semisimple"] = is_semisimple(p)
         try:
-            out["tag"] = canonical_classify(s).value
+            out["tag"] = canonical_classify(p).value
         except (UnsupportedRing, Char2Unsupported):
             pass
     if verify and s.ring.kind == "GF":
@@ -114,14 +115,14 @@ def _cmd_analyze(obj, verify: bool):
 
 def _cmd_tri(obj, method: str, verify: bool):
     s = matseq_from_json(obj)
-    red = maximal_reduction(s)
-    out = {"triangularizable": None, "reduced_length": red.reduced_length}
+    p = Profile(s)
+    out = {"triangularizable": None, "reduced_length": p.reduction.reduced_length}
     if method == "flo":
-        out["triangularizable"] = is_triangularizable(s)
+        out["triangularizable"] = is_triangularizable(p)
     elif method == "fast":
-        out["triangularizable"] = is_triangularizable_fast(s)
+        out["triangularizable"] = is_triangularizable_fast(p)
     else:
-        witness = triangularize(s)
+        witness = triangularize(p)
         out["triangularizable"] = witness is not None
         if witness is not None:
             out["g"] = witness.g.to_json()
@@ -149,12 +150,13 @@ def _cmd_similar(obj_a, obj_b, verify: bool):
 
 def _cmd_classify(obj):
     s = matseq_from_json(obj)
+    p = Profile(s)
     return {
-        "stable": is_stable(s),
-        "semisimple": is_semisimple(s),
-        "triangularizable": is_triangularizable(s),
+        "stable": is_stable(p),
+        "semisimple": is_semisimple(p),
+        "triangularizable": is_triangularizable(p),
         "commutative": is_commutative(s),
-        "reduced_length": maximal_reduction(s).reduced_length,
+        "reduced_length": p.reduction.reduced_length,
     }
 
 

@@ -70,7 +70,8 @@ class NotApplicable(MatseqError):
 
 
 class TooLarge(MatseqError):
-    """The requested enumeration exceeds the size guard."""
+    """The input exceeds a size guard: an oracle enumeration too large, or a
+    modulus beyond the proven primality bound."""
 
 
 class InternalInconsistency(MatseqError):

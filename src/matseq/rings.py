@@ -29,6 +29,7 @@ from typing import Sequence
 from .errors import (
     ExactDivisionError,
     RingMismatch,
+    TooLarge,
     TowerTooDeep,
     UnsupportedRing,
     ZeroVector,
@@ -46,6 +47,33 @@ def _sqrt_fraction(x: Fraction) -> Fraction | None:
     if rn * rn == x.numerator and rd * rd == x.denominator:
         return Fraction(rn, rd)
     return None
+
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981  # psi_13 (Sorenson and Webster, 2015)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first 13 primes as bases, proven correct below
+    _MR_BOUND.  Larger n raise TooLarge instead of passing as probable primes."""
+    if n >= _MR_BOUND:
+        raise TooLarge(f"{n} exceeds the proven primality bound {_MR_BOUND}")
+    if n < 2 or any(n % q == 0 for q in _MR_BASES):
+        return n in _MR_BASES
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _sqrt_mod(a: int, p: int) -> int | None:
@@ -480,7 +508,7 @@ class PrimeFieldRing(RingDescriptor):
     is_field = True
 
     def __init__(self, p: int):
-        if p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+        if not _is_prime(p):
             raise UnsupportedRing(f"GF({p}): modulus must be prime")
         self.p = p
 

@@ -29,10 +29,10 @@ from .errors import (
     RingMismatch,
     UnsupportedRing,
 )
-from .invariants import big_delta, drensky_s, sigma, trace_word
+from .invariants import drensky_s, trace_word
 from .matcore import GroupElement, Mat2, MatSeq, subsequence
 from .rings import RingDescriptor, Scalar, ring_from_json, ring_to_json, scalar_from_json
-from .triangular import commutes, is_commutative, triangularize
+from .triangular import Profile, commutes, is_commutative, maximal_reduction, triangularize
 
 
 @dataclass(frozen=True)
@@ -170,13 +170,6 @@ def _invertible_in_span(basis: list[Mat2]) -> Mat2 | None:
 # similarity
 
 
-def _first_nonscalar(s: MatSeq) -> int | None:
-    for i, t in enumerate(s.terms):
-        if not t.is_scalar():
-            return i
-    return None
-
-
 def _first_noncommuting_pair(s: MatSeq) -> tuple[int, int] | None:
     n = s.n
     for j in range(n):
@@ -200,13 +193,13 @@ def are_similar(s1: MatSeq, s2: MatSeq) -> SimilarityWitness | None:
 
     pair = _first_noncommuting_pair(s1)
     if pair is None:
-        k = _first_nonscalar(s1)
-        if k is None:
+        kept = maximal_reduction(s1).kept_indices
+        if not kept:
             # scalar sequences are similar exactly when equal
             if s1 == s2:
                 return SimilarityWitness(Mat2.identity(ring))
             return None
-        anchors = [(s1[k], s2[k])]
+        anchors = [(s1.term(kept[0]), s2.term(kept[0]))]
     else:
         j, k = pair
         anchors = [(s1[j], s2[j]), (s1[k], s2[k])]
@@ -241,49 +234,34 @@ def triple_reduction_check(s1: MatSeq, s2: MatSeq) -> bool:
 # stability and semisimplicity (closure-level notions)
 
 
-def _closure_triangularizable(s: MatSeq) -> bool:
-    """All sigma and Delta obstructions vanish.
+def is_stable(s: MatSeq | Profile) -> bool:
+    """Stable for the conjugation action: not triangularizable over the closure.
 
     Over the algebraic closure the singlet tests always pass, and one
-    quadratic extension suffices to realize a common eigenvector, so this is
-    triangularizability over a one-step quadratic closure.
+    quadratic extension suffices to realize a common eigenvector, so the
+    sequence is stable exactly when some sigma or Delta obstruction is nonzero.
     """
-    n = s.n
-    for j in range(n):
-        for k in range(j + 1, n):
-            if not sigma(s[j], s[k]).is_zero():
-                return False
-    for j in range(n):
-        for k in range(j + 1, n):
-            for l in range(k + 1, n):
-                if not big_delta(s[j], s[k], s[l]).is_zero():
-                    return False
-    return True
-
-
-def is_stable(s: MatSeq) -> bool:
-    """Stable for the conjugation action: not triangularizable over the closure."""
-    if not s.ring.is_field:
+    p = Profile.of(s)
+    if not p.seq.ring.is_field:
         raise UnsupportedRing("stability is a field notion; lift to the fraction field")
-    return not _closure_triangularizable(s)
+    return p.obstruction is not None
 
 
-def is_semisimple(s: MatSeq) -> bool:
+def is_semisimple(s: MatSeq | Profile) -> bool:
     """Stable, or commutative and simultaneously diagonalizable over the closure.
 
     A commutative sequence is diagonalizable exactly when it is all scalar or
     some (equivalently any) non-scalar term has nonzero discriminant.
     """
-    if not s.ring.is_field:
+    p = Profile.of(s)
+    if not p.seq.ring.is_field:
         raise UnsupportedRing("semisimplicity is a field notion; lift to the fraction field")
-    if is_stable(s):
+    if is_stable(p):
         return True
-    if not is_commutative(s):
+    if not is_commutative(p.seq):
         return False
-    k = _first_nonscalar(s)
-    if k is None:
-        return True
-    return not s[k].disc().is_zero()
+    kept = p.reduction.kept_indices
+    return not kept or not p.seq.term(kept[0]).disc().is_zero()
 
 
 # ---------------------------------------------------------------------------

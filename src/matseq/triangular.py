@@ -16,6 +16,7 @@ whose smaller index is 1, 2 or 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InternalInconsistency, UnsupportedRing
 from .invariants import big_delta, sigma
@@ -87,6 +88,47 @@ def maximal_reduction(s: MatSeq) -> ReductionInfo:
             members.append([i])
     kept = tuple(m[0] for m in members)
     return ReductionInfo(kept, tuple(tuple(m) for m in members))
+
+
+def first_obstruction(s: MatSeq) -> tuple[int, ...] | None:
+    """The lexicographically first 0-based pair (j, k) with sigma != 0, else
+    the first triple (j, k, l) with Delta != 0, else None.
+
+    None means the sequence is triangularizable over a one-step quadratic
+    closure of its ring.
+    """
+    n = s.n
+    for j in range(n):
+        for k in range(j + 1, n):
+            if not sigma(s[j], s[k]).is_zero():
+                return (j, k)
+    for j in range(n):
+        for k in range(j + 1, n):
+            for l in range(k + 1, n):
+                if not big_delta(s[j], s[k], s[l]).is_zero():
+                    return (j, k, l)
+    return None
+
+
+class Profile:
+    """A sequence with its maximal reduction and first obstruction, each
+    computed on first use and then shared by every decider given it."""
+
+    def __init__(self, s: MatSeq):
+        self.seq = s
+
+    @classmethod
+    def of(cls, s: MatSeq | Profile) -> Profile:
+        """s itself if it is already a profile, else a fresh one."""
+        return s if isinstance(s, Profile) else cls(s)
+
+    @cached_property
+    def reduction(self) -> ReductionInfo:
+        return maximal_reduction(self.seq)
+
+    @cached_property
+    def obstruction(self) -> tuple[int, ...] | None:
+        return first_obstruction(self.seq)
 
 
 # ---------------------------------------------------------------------------
@@ -188,23 +230,16 @@ def pair_triangularizable(x: Mat2, y: Mat2) -> bool:
 # sequences
 
 
-def is_triangularizable(s: MatSeq) -> bool:
+def is_triangularizable(s: MatSeq | Profile) -> bool:
     """Full criterion: all sigma and Delta obstructions vanish and every
     term is individually triangularizable over the ring."""
-    n = s.n
-    for j in range(n):
-        for k in range(j + 1, n):
-            if not sigma(s[j], s[k]).is_zero():
-                return False
-    for j in range(n):
-        for k in range(j + 1, n):
-            for l in range(k + 1, n):
-                if not big_delta(s[j], s[k], s[l]).is_zero():
-                    return False
-    return all(singlet_triangularizable(t) is not None for t in s.terms)
+    p = Profile.of(s)
+    if p.obstruction is not None:
+        return False
+    return all(singlet_triangularizable(t) is not None for t in p.seq.terms)
 
 
-def is_triangularizable_fast(s: MatSeq, stats: dict | None = None) -> bool:
+def is_triangularizable_fast(s: MatSeq | Profile) -> bool:
     """Reduction-based engine, linear in the number of sigma tests.
 
     Reduced length 0 is trivially triangularizable; lengths up to 3 defer to
@@ -212,35 +247,34 @@ def is_triangularizable_fast(s: MatSeq, stats: dict | None = None) -> bool:
     suffices that the kept terms pass the singlet test and that
     sigma(kept_j, kept_k) = 0 for j in {1, 2, 3} and j < k <= l.
     """
-    red = maximal_reduction(s)
+    p = Profile.of(s)
+    red = p.reduction
     l = red.reduced_length
     if l == 0:
         return True
-    kept = [s.term(i) for i in red.kept_indices]
+    kept = [p.seq.term(i) for i in red.kept_indices]
     if l <= 3:
         return is_triangularizable(MatSeq(kept))
     for j in range(min(3, l)):
         for k in range(j + 1, l):
-            if stats is not None:
-                stats["sigma_evals"] = stats.get("sigma_evals", 0) + 1
             if not sigma(kept[j], kept[k]).is_zero():
                 return False
     return all(singlet_triangularizable(t) is not None for t in kept)
 
 
-def triangularize(s: MatSeq) -> TriangularizationWitness | None:
+def triangularize(s: MatSeq | Profile) -> TriangularizationWitness | None:
     """A conjugator g with conjugate(g, s) upper triangular, or None.
 
     The witness is found as a primitive common eigenvector of the terms,
     completed to an invertible matrix by the Bezout identity.
     """
+    p = Profile.of(s)
+    s = p.seq
     ring = s.ring
     if s.is_upper_triangular():
         return TriangularizationWitness(GroupElement.identity(ring), s)
-    red = maximal_reduction(s)
-    if red.all_scalar:
-        return TriangularizationWitness(GroupElement.identity(ring), s)
-    if not is_triangularizable_fast(s):
+    red = p.reduction
+    if not is_triangularizable_fast(p):
         return None
     anchor = s.term(red.kept_indices[0])
     ev = eigenvalues_in_ring(anchor)

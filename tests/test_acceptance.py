@@ -148,7 +148,7 @@ def _upper_reduced_family(ring, p):
     return fam
 
 
-def test_criterion_3_engine_equivalence_and_sigma_budget():
+def test_criterion_3_engine_equivalence_and_sigma_budget(count_calls):
     """Fast and full triangularization engines agree on 10000 sequences per
     ring; on reduced inputs the fast engine stays within the 3n
     sigma-evaluation budget (n = 100 over Q; n is capped at p^2 + p + 1
@@ -170,9 +170,10 @@ def test_criterion_3_engine_equivalence_and_sigma_budget():
                 mismatches += 1
         assert mismatches == 0, f"engine disagreement over {ring}"
 
-    stats = {}
-    assert is_triangularizable_fast(rand_reduced_seq(rng, Q, 100), stats)
-    assert stats["sigma_evals"] <= 300, stats
+    # every sigma the engine evaluates, through any name it is bound under
+    sigma_calls = count_calls(sigma)
+    assert is_triangularizable_fast(rand_reduced_seq(rng, Q, 100))
+    assert len(sigma_calls) <= 300, len(sigma_calls)
 
     for p in (3, 5):
         ring = GF(p)
@@ -180,15 +181,15 @@ def test_criterion_3_engine_equivalence_and_sigma_budget():
         assert len(full) == p * p + p + 1
         s = MatSeq(full)
         assert maximal_reduction(s).reduced_length == len(full)
-        stats = {}
-        is_triangularizable_fast(s, stats)
-        assert stats.get("sigma_evals", 0) <= 3 * len(full)
+        sigma_calls.clear()
+        is_triangularizable_fast(s)
+        assert len(sigma_calls) <= 3 * len(full)
 
         upper = MatSeq(_upper_reduced_family(ring, p))
         assert maximal_reduction(upper).reduced_length == p + 1
-        stats = {}
-        assert is_triangularizable_fast(upper, stats)
-        assert stats["sigma_evals"] <= 3 * (p + 1)
+        sigma_calls.clear()
+        assert is_triangularizable_fast(upper)
+        assert len(sigma_calls) <= 3 * (p + 1)
     elapsed = time.monotonic() - start
     print(f"criterion 3: PASS (30000 sequences, 0 mismatches, "
           f"sigma budget met, {elapsed:.1f}s)")

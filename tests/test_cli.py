@@ -2,10 +2,18 @@
 
 import io
 import json
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 
+import matseq
+from matseq import Q, big_delta, is_commutative, sigma
 from matseq.cli import main
+
+from genseq import rand_triangularizable_seq
 
 PAIR_Q = {"ring": {"kind": "Q"},
           "matrices": [[[1, 0], [0, 0]], [[0, 2], [3, 0]]]}
@@ -75,6 +83,17 @@ class TestTri:
         assert doc["triangularizable"] is True
         assert doc["g"] == [["1", "0"], ["0", "1"]]
 
+    def test_large_prime_modulus_answers(self, tmp_path):
+        doc = {"ring": {"kind": "GF", "p": 10**18 + 3},
+               "matrices": [[[1, 2], [3, 4]]]}
+        f = write(tmp_path, "s.json", doc)
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(matseq.__file__)))
+        r = subprocess.run([sys.executable, "-m", "matseq.cli", "tri", f],
+                           env=env, capture_output=True, text=True, timeout=20)
+        assert r.returncode == 0, r.stderr
+        assert json.loads(r.stdout)["reduced_length"] == 1
+
 
 class TestSimilar:
     def test_similar_pair(self, tmp_path, capsys):
@@ -135,6 +154,18 @@ class TestClassifyCanon:
         code, doc = run(capsys, ["canon", f])
         assert code == 0
         assert doc["extension"] == {"kind": "Qsqrt", "d": "2"}
+
+
+class TestObstructionScan:
+    @pytest.mark.parametrize("verb", ["analyze", "classify", "canon"])
+    def test_one_scan_per_document(self, verb, tmp_path, capsys, count_calls):
+        s = rand_triangularizable_seq(random.Random(8), Q, 8)
+        assert not is_commutative(s)
+        f = write(tmp_path, "s.json", s.to_json())
+        sigmas, deltas = count_calls(sigma), count_calls(big_delta)
+        code, _ = run(capsys, [verb, f])
+        assert code == 0
+        assert (len(sigmas), len(deltas)) == (28, 56)  # C(8, 2), C(8, 3)
 
 
 class TestInvariants:

@@ -29,6 +29,7 @@ from matseq import (
 from matseq.errors import (
     ExactDivisionError,
     RingMismatch,
+    TooLarge,
     TowerTooDeep,
     UnsupportedRing,
     ZeroVector,
@@ -115,6 +116,24 @@ class TestFieldInverses:
     def test_gf_rejects_composite(self):
         with pytest.raises(UnsupportedRing):
             GF(4)
+
+    def test_gf_large_moduli(self):
+        assert GF(10**18 + 3).p == 10**18 + 3
+        with pytest.raises(UnsupportedRing):
+            GF(10**18 + 1)  # (10^6 + 1)(10^12 - 10^6 + 1)
+        with pytest.raises(UnsupportedRing):
+            GF(3215031751)  # strong pseudoprime to bases 2, 3, 5 and 7
+        with pytest.raises(TooLarge):
+            GF(2**89 - 1)  # prime, but above the proven Miller-Rabin bound
+
+    def test_gf_small_moduli_match_trial_division(self):
+        for n in range(-2, 500):
+            prime = n >= 2 and all(n % q for q in range(2, n))
+            if prime:
+                assert GF(n).p == n
+            else:
+                with pytest.raises(UnsupportedRing):
+                    GF(n)
 
     def test_quadratic_extension_rejects_square_d(self):
         for d in (0, 1, 4, Fraction(9, 4)):

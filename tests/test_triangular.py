@@ -9,14 +9,18 @@ from hypothesis import strategies as st
 from matseq import (
     GF,
     Mat2,
+    MatSeq,
+    Profile,
     Q,
     QT,
     Z,
+    big_delta,
     commutes,
     complete_unimodular,
     conjugate,
     eigenvalues_in_ring,
     eigenvector_for,
+    first_obstruction,
     is_commutative,
     is_eigenvector,
     is_triangularizable,
@@ -25,6 +29,7 @@ from matseq import (
     maximal_reduction,
     pair_triangularizable,
     seq,
+    sigma,
     singlet_triangularizable,
     triangularize,
 )
@@ -34,6 +39,7 @@ from genseq import (
     rand_group_element,
     rand_mat,
     rand_reduced_seq,
+    rand_scalar,
     rand_seq,
     rand_triangularizable_seq,
     rand_upper_seq,
@@ -193,12 +199,12 @@ class TestPairAndSequenceDeciders:
         assert is_triangularizable_fast(s)
         assert is_triangularizable(s)
 
-    def test_sigma_evaluation_budget(self):
+    def test_sigma_evaluation_budget(self, count_calls):
         rng = random.Random(7)
         s = rand_reduced_seq(rng, Q, 100)
-        stats = {}
-        assert is_triangularizable_fast(s, stats)
-        assert stats["sigma_evals"] <= 3 * s.n
+        sigma_calls = count_calls(sigma)
+        assert is_triangularizable_fast(s)
+        assert len(sigma_calls) <= 3 * s.n
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
@@ -251,3 +257,89 @@ class TestTriangularize:
             assert w is not None
             assert all(c.is_zero() for c in w.triangular.c)
             assert conjugate(w.g, s).terms == w.triangular.terms
+
+
+def _reference_obstruction(s):
+    """Reference scan, independent of first_obstruction: the nested sigma
+    loops, then the nested Delta loops."""
+    n = s.n
+    for j in range(n):
+        for k in range(j + 1, n):
+            if not sigma(s[j], s[k]).is_zero():
+                return (j, k)
+    for j in range(n):
+        for k in range(j + 1, n):
+            for l in range(k + 1, n):
+                if not big_delta(s[j], s[k], s[l]).is_zero():
+                    return (j, k, l)
+    return None
+
+
+def _nonzero(rng, ring):
+    while True:
+        x = rand_scalar(rng, ring, 3)
+        if not x.is_zero():
+            return x
+
+
+def _stable_1c_mix(rng, ring, extra):
+    """A conjugated triple with every sigma zero and Delta nonzero (eigenlines
+    {e1, e2}, {e1, w}, {e2, w} for w = (1, -1)), shuffled among leading scalar
+    terms and terms commuting with a member of the triple."""
+    z = ring.zero()
+    a = rand_scalar(rng, ring, 3)
+    x2, y2, x3, y3 = (rand_scalar(rng, ring, 3), _nonzero(rng, ring),
+                      rand_scalar(rng, ring, 3), _nonzero(rng, ring))
+    triple = [Mat2(a, z, z, a + _nonzero(rng, ring)),
+              Mat2(x2 + y2, y2, z, x2),
+              Mat2(x3, z, y3, x3 + y3)]
+    body = list(triple)
+    for _ in range(extra):
+        t = rng.choice(triple)
+        x, y = rand_scalar(rng, ring, 3), rand_scalar(rng, ring, 3)
+        body.append(t.scale(y) + Mat2.identity(ring).scale(x))
+    rng.shuffle(body)
+    scalars = [Mat2.identity(ring).scale(rand_scalar(rng, ring, 3))
+               for _ in range(rng.randint(0, 2))]
+    return conjugate(rand_group_element(rng, ring), MatSeq(scalars + body))
+
+
+class TestFirstObstruction:
+    def test_gf3_pair_sweep_matches_reference(self):
+        ring = GF(3)
+        mats = [Mat2(*(ring(v) for v in (a, b, c, d)))
+                for a in range(3) for b in range(3) for c in range(3) for d in range(3)]
+        found = 0
+        for x in mats:
+            for y in mats:
+                s = MatSeq([x, y])
+                got = first_obstruction(s)
+                assert got == _reference_obstruction(s), (x, y)
+                found += got is not None
+        assert 0 < found < len(mats) ** 2
+
+    @pytest.mark.parametrize("ring", [Q, GF(5)], ids=["Q", "GF5"])
+    def test_random_sequences_match_reference(self, ring):
+        rng = random.Random(20261018)
+        kinds = {None: 0, 2: 0, 3: 0}
+        for _ in range(400):
+            u = rng.random()
+            if u < 0.3:
+                s = rand_seq(rng, ring, rng.randint(1, 6), span=3)
+            elif u < 0.5:
+                s = rand_triangularizable_seq(rng, ring, rng.randint(1, 6))
+            else:
+                s = _stable_1c_mix(rng, ring, rng.randint(0, 3))
+            got = first_obstruction(s)
+            assert got == _reference_obstruction(s), s
+            kinds[None if got is None else len(got)] += 1
+        assert all(kinds.values()), kinds
+
+    def test_profile_scans_once(self, count_calls):
+        s = _stable_1c_mix(random.Random(5), Q, 3)
+        scans = count_calls(first_obstruction)
+        p = Profile(s)
+        assert not is_triangularizable(p)
+        assert p.obstruction == _reference_obstruction(s)
+        assert len(p.obstruction) == 3
+        assert len(scans) == 1
