@@ -1,8 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each class declares the CLI exit code it maps to: 2 for input errors (the
+default), 3 for an unsupported ring or an input too large, 4 for an
+internal inconsistency.
+"""
 
 
 class MatseqError(Exception):
     """Base class for all package-specific errors."""
+
+    exit_code = 2
 
 
 class RingMismatch(MatseqError):
@@ -11,6 +18,8 @@ class RingMismatch(MatseqError):
 
 class UnsupportedRing(MatseqError):
     """The operation is not defined over the given ring."""
+
+    exit_code = 3
 
 
 class ExactDivisionError(MatseqError):
@@ -28,6 +37,8 @@ class ZeroVector(MatseqError):
 class Char2Unsupported(MatseqError):
     """The operation requires characteristic different from 2."""
 
+    exit_code = 3
+
 
 class LengthMismatch(MatseqError):
     """Sequences must have equal length."""
@@ -39,6 +50,8 @@ class LengthTooShort(MatseqError):
 
 class TowerTooDeep(MatseqError):
     """A second quadratic extension would be required."""
+
+    exit_code = 3
 
 
 class NotTriangularizable(MatseqError):
@@ -71,8 +84,13 @@ class NotApplicable(MatseqError):
 
 class TooLarge(MatseqError):
     """The input exceeds a size guard: an oracle enumeration too large, or a
-    modulus beyond the proven primality bound."""
+    modulus beyond the proven primality bound, or a number too large to
+    factor."""
+
+    exit_code = 3
 
 
 class InternalInconsistency(MatseqError):
     """A decision procedure and its own construction disagree (bug sentinel)."""
+
+    exit_code = 4

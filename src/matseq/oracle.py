@@ -74,7 +74,7 @@ def enumerate_gl2(p: int) -> GroupTable:
 
 def _raw_terms(s: MatSeq) -> list[tuple[int, int, int, int]]:
     ring = s.ring
-    if ring.kind != "GF":
+    if not ring.is_finite:
         raise UnsupportedRing(f"the oracle works over GF(p), got {ring!r}")
     return [(t.a.value, t.b.value, t.c.value, t.d.value) for t in s.terms]
 

@@ -22,8 +22,9 @@ nonnegative over Z and monic over Q[t].
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from math import gcd as _int_gcd, isqrt
+from math import gcd as _int_gcd, isqrt, lcm as _int_lcm
 from typing import Sequence
 
 from .errors import (
@@ -106,11 +107,15 @@ def _sqrt_mod(a: int, p: int) -> int | None:
     return r
 
 
+_TRIAL_BOUND = 10**6
+
+
 def squarefree_part(x: Fraction) -> int:
     """The squarefree integer d with x = d * (rational square), for x != 0.
 
-    Uses trial division; intended for the small numbers that arise from
-    matrix entries, not for cryptographic sizes.
+    Trial division by factors up to _TRIAL_BOUND.  The cofactor left over is
+    accepted when it is 1, a perfect square, below _TRIAL_BOUND**2 or a proven
+    prime; any other cofactor raises TooLarge rather than factor it.
     """
     if x == 0:
         raise ValueError("squarefree_part of zero is undefined")
@@ -119,7 +124,7 @@ def squarefree_part(x: Fraction) -> int:
     n = abs(n)
     d = 1
     f = 2
-    while f * f <= n:
+    while f * f <= n and f <= _TRIAL_BOUND:
         if n % f == 0:
             e = 0
             while n % f == 0:
@@ -128,6 +133,13 @@ def squarefree_part(x: Fraction) -> int:
             if e % 2:
                 d *= f
         f += 1 if f == 2 else 2
+    if f * f <= n:
+        r = isqrt(n)
+        if r * r == n:
+            n = 1
+        elif n >= _MR_BOUND or not _is_prime(n):
+            raise TooLarge(f"squarefree part of {x}: cofactor {n} has no factor "
+                           f"below {_TRIAL_BOUND} and is not a proven prime")
     return sign * d * n
 
 
@@ -249,12 +261,32 @@ def _psqrt(f: tuple) -> tuple | None:
     return None
 
 
-def _parse_fraction(text) -> Fraction:
-    if isinstance(text, str):
-        return Fraction(text)
-    if isinstance(text, int):
-        return Fraction(text)
-    raise ValueError(f"expected a rational string, got {text!r}")
+_RATIONAL = re.compile(r"\s*[+-]?(?:\d+(?:/\d+)?|\d*\.\d+|\d+\.)\s*")
+
+
+def _parse_fraction(x) -> Fraction:
+    """A Fraction from a Fraction, an int or a string: optional sign, digits,
+    then a /denominator or a decimal point; no exponent, nonzero denominator."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
+    if isinstance(x, str) and _RATIONAL.fullmatch(x):
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
+    raise ValueError(f"expected a rational string, got {x!r}")
+
+
+def _int_primitive(ints: Sequence[int]) -> tuple[int, ...]:
+    """ints divided by their gcd, first nonzero entry positive (zero unchanged)."""
+    g = _int_gcd(*ints)
+    if g == 0:
+        return tuple(ints)
+    if next(n for n in ints if n) < 0:
+        g = -g
+    return tuple(n // g for n in ints)
 
 
 def _sqrt_quadext(x: Fraction, y: Fraction, d: Fraction) -> tuple | None:
@@ -297,7 +329,9 @@ class RingDescriptor:
 
     kind: str = "?"
     is_field: bool = False
-    is_euclidean: bool = True
+    is_finite: bool = False
+    # descriptor classes whose raw values ``coerce`` embeds into this ring
+    subrings: tuple[type, ...] = ()
 
     def characteristic(self) -> int:
         return 0
@@ -361,12 +395,44 @@ class RingDescriptor:
         """A total order on raw values, used for deterministic tie-breaks."""
         raise NotImplementedError
 
+    # ring structure: the defaults are the field rules ----------------------
+    def egcd(self, a, b):
+        """(g, u, v) with a*u + b*v = g, g a canonical gcd associate.
+
+        Over a field the gcd of a nonzero pair is 1; (0, 0) gives (0, 0, 0).
+        """
+        zero = self.raw_zero()
+        if not self.is_zero(a):
+            return self.raw_one(), self.inv(a), zero
+        if not self.is_zero(b):
+            return self.raw_one(), zero, self.inv(b)
+        return zero, zero, zero
+
+    def primitive(self, vals):
+        """The canonical unit-content multiple of vals; zero vectors unchanged.
+
+        Over a field the first nonzero entry becomes 1.
+        """
+        first = next((a for a in vals if not self.is_zero(a)), None)
+        if first is None:
+            return tuple(vals)
+        inv = self.inv(first)
+        return tuple(self.mul(a, inv) for a in vals)
+
+    def adjoin_sqrt(self, a) -> tuple["Scalar", "RingDescriptor"]:
+        """(root, extension) for a non-square a: a square root of a in a
+        quadratic extension of this ring."""
+        raise UnsupportedRing(f"no representable quadratic extension of {self!r}")
+
     # serialization ---------------------------------------------------------
     def value_to_json(self, a):
         raise NotImplementedError
 
     def value_from_json(self, obj):
         raise NotImplementedError
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind}
 
     def __repr__(self) -> str:
         return self.kind
@@ -429,6 +495,23 @@ class IntegerRing(RingDescriptor):
     def sort_key(self, a):
         return a
 
+    def egcd(self, a, b):
+        old_r, r = a, b
+        old_s, s = 1, 0
+        old_t, t = 0, 1
+        while r:
+            qq = old_r // r
+            old_r, r = r, old_r - qq * r
+            old_s, s = s, old_s - qq * s
+            old_t, t = t, old_t - qq * t
+        if old_r < 0:
+            old_r, old_s, old_t = -old_r, -old_s, -old_t
+        return old_r, old_s, old_t
+
+    def primitive(self, vals):
+        """Divided by the gcd, first nonzero entry positive."""
+        return _int_primitive(vals)
+
     def value_to_json(self, a):
         return str(a)
 
@@ -443,15 +526,10 @@ class IntegerRing(RingDescriptor):
 class RationalRing(RingDescriptor):
     kind = "Q"
     is_field = True
+    subrings = (IntegerRing,)
 
     def coerce(self, value):
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, int) and not isinstance(value, bool):
-            return Fraction(value)
-        if isinstance(value, str):
-            return Fraction(value)
-        raise ValueError(f"not a rational: {value!r}")
+        return _parse_fraction(value)
 
     def raw_zero(self):
         return Fraction(0)
@@ -496,16 +574,28 @@ class RationalRing(RingDescriptor):
     def sort_key(self, a):
         return a
 
+    def primitive(self, vals):
+        """Coprime integers (Q is the fraction field of Z), first nonzero
+        entry positive."""
+        den = _int_lcm(*(a.denominator for a in vals))
+        ints = [a.numerator * (den // a.denominator) for a in vals]
+        return tuple(Fraction(n) for n in _int_primitive(ints))
+
+    def adjoin_sqrt(self, a):
+        d = squarefree_part(a)
+        ext = QSqrt(d)
+        return Scalar(ext, (Fraction(0), _sqrt_fraction(a / d))), ext
+
     def value_to_json(self, a):
         return str(a)
 
-    def value_from_json(self, obj):
-        return _parse_fraction(obj)
+    value_from_json = coerce
 
 
 class PrimeFieldRing(RingDescriptor):
     kind = "GF"
     is_field = True
+    is_finite = True
 
     def __init__(self, p: int):
         if not _is_prime(p):
@@ -574,6 +664,9 @@ class PrimeFieldRing(RingDescriptor):
             return int(obj) % self.p
         raise ValueError(f"bad residue: {obj!r}")
 
+    def to_json(self):
+        return {"kind": self.kind, "p": self.p}
+
     def __repr__(self):
         return f"GF({self.p})"
 
@@ -581,20 +674,18 @@ class PrimeFieldRing(RingDescriptor):
 class QuadExtRing(RingDescriptor):
     kind = "Qsqrt"
     is_field = True
+    subrings = (IntegerRing, RationalRing)
 
     def __init__(self, d):
-        d = _parse_fraction(d) if not isinstance(d, Fraction) else d
+        d = _parse_fraction(d)
         if d == 0 or _sqrt_fraction(d) is not None:
             raise UnsupportedRing(f"Q(sqrt({d})): d must not be a rational square")
         self.d = d
 
     def coerce(self, value):
         if isinstance(value, tuple) and len(value) == 2:
-            return (_parse_fraction(value[0]) if not isinstance(value[0], Fraction) else value[0],
-                    _parse_fraction(value[1]) if not isinstance(value[1], Fraction) else value[1])
-        if isinstance(value, (int, Fraction, str)) and not isinstance(value, bool):
-            return (_parse_fraction(value) if not isinstance(value, Fraction) else value, Fraction(0))
-        raise ValueError(f"not a quadratic-extension value: {value!r}")
+            return (_parse_fraction(value[0]), _parse_fraction(value[1]))
+        return (_parse_fraction(value), Fraction(0))
 
     def raw_zero(self):
         return (Fraction(0), Fraction(0))
@@ -641,6 +732,9 @@ class QuadExtRing(RingDescriptor):
     def sort_key(self, a):
         return a
 
+    def adjoin_sqrt(self, a):
+        raise TowerTooDeep(f"sqrt of {self!r}:{a!r} needs a second quadratic extension")
+
     def value_to_json(self, a):
         return {"a": str(a[0]), "b": str(a[1]), "d": str(self.d)}
 
@@ -651,22 +745,21 @@ class QuadExtRing(RingDescriptor):
             raise ValueError(f"value tagged with d={obj['d']}, ring has d={self.d}")
         return (_parse_fraction(obj["a"]), _parse_fraction(obj["b"]))
 
+    def to_json(self):
+        return {"kind": self.kind, "d": str(self.d)}
+
     def __repr__(self):
         return f"QSqrt({self.d})"
 
 
 class PolynomialRing(RingDescriptor):
     kind = "Qt"
-    is_field = False
+    subrings = (IntegerRing, RationalRing)
 
     def coerce(self, value):
-        if isinstance(value, tuple):
-            return _ptrim([c if isinstance(c, Fraction) else _parse_fraction(c) for c in value])
-        if isinstance(value, list):
-            return _ptrim([c if isinstance(c, Fraction) else _parse_fraction(c) for c in value])
-        if isinstance(value, (int, Fraction, str)) and not isinstance(value, bool):
-            return _ptrim([_parse_fraction(value) if not isinstance(value, Fraction) else value])
-        raise ValueError(f"not a polynomial value: {value!r}")
+        if isinstance(value, (tuple, list)):
+            return _ptrim([_parse_fraction(c) for c in value])
+        return _ptrim([_parse_fraction(value)])
 
     def raw_zero(self):
         return _PZERO
@@ -714,6 +807,20 @@ class PolynomialRing(RingDescriptor):
     def sort_key(self, a):
         return (len(a), a)
 
+    def egcd(self, a, b):
+        return _pegcd(a, b)
+
+    def primitive(self, vals):
+        """Divided by the polynomial gcd, first nonzero entry monic."""
+        g = _PZERO
+        for a in vals:
+            g = _pgcd(g, a)
+        if not g:
+            return tuple(vals)
+        vals = [self.div(a, g) for a in vals]
+        lc = next(a for a in vals if a)[-1]
+        return tuple(_pscale(a, 1 / lc) for a in vals)
+
     def value_to_json(self, a):
         return [str(c) for c in a]
 
@@ -739,7 +846,7 @@ def GF(p: int) -> PrimeFieldRing:
 
 
 def QSqrt(d) -> QuadExtRing:
-    d = _parse_fraction(d) if not isinstance(d, Fraction) else d
+    d = _parse_fraction(d)
     ring = _QSQRT_CACHE.get(d)
     if ring is None:
         ring = _QSQRT_CACHE[d] = QuadExtRing(d)
@@ -747,11 +854,7 @@ def QSqrt(d) -> QuadExtRing:
 
 
 def ring_to_json(ring: RingDescriptor) -> dict:
-    if ring.kind == "GF":
-        return {"kind": "GF", "p": ring.p}
-    if ring.kind == "Qsqrt":
-        return {"kind": "Qsqrt", "d": str(ring.d)}
-    return {"kind": ring.kind}
+    return ring.to_json()
 
 
 def ring_from_json(obj) -> RingDescriptor:
@@ -765,7 +868,10 @@ def ring_from_json(obj) -> RingDescriptor:
     if kind == "Qt":
         return QT
     if kind == "GF":
-        return GF(int(obj["p"]))
+        p = obj["p"]
+        if isinstance(p, bool) or not isinstance(p, (int, str)):
+            raise ValueError(f"GF modulus must be an integer, got {p!r}")
+        return GF(int(p))
     if kind == "Qsqrt":
         return QSqrt(obj["d"])
     raise ValueError(f"unknown ring kind: {kind!r}")
@@ -844,9 +950,13 @@ class Scalar:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        out = self.ring.raw_one()
-        for _ in range(n):
-            out = self.ring.mul(out, self.value)
+        mul, out, base = self.ring.mul, self.ring.raw_one(), self.value
+        while n:
+            if n & 1:
+                out = mul(out, base)
+            n >>= 1
+            if n:
+                base = mul(base, base)
         return Scalar(self.ring, out)
 
     def __eq__(self, other):
@@ -857,7 +967,7 @@ class Scalar:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.ring.kind, repr(self.ring), self.value))
+        return hash((self.ring, self.value))
 
     def __bool__(self):
         return not self.ring.is_zero(self.value)
@@ -902,8 +1012,7 @@ def try_sqrt(x: Scalar) -> Scalar | None:
     """
     if not x.ring.is_field:
         raise UnsupportedRing(f"try_sqrt needs a field kind, got {x.ring!r}")
-    r = x.ring.try_sqrt_raw(x.value)
-    return None if r is None else Scalar(x.ring, r)
+    return sqrt_in_ring(x)
 
 
 def sqrt_in_ring(x: Scalar) -> Scalar | None:
@@ -920,30 +1029,7 @@ def bezout(x: Scalar, y: Scalar) -> tuple[Scalar, Scalar, Scalar]:
     ring = x.ring
     if ring != y.ring:
         raise RingMismatch(f"{ring!r} vs {y.ring!r}")
-    if ring.is_field:
-        zero = ring.zero()
-        if x.is_zero() and y.is_zero():
-            return zero, zero, zero
-        if not x.is_zero():
-            return ring.one(), x.inverse(), zero
-        return ring.one(), zero, y.inverse()
-    if ring.kind == "Z":
-        a, b = x.value, y.value
-        old_r, r = a, b
-        old_s, s = 1, 0
-        old_t, t = 0, 1
-        while r:
-            qq = old_r // r
-            old_r, r = r, old_r - qq * r
-            old_s, s = s, old_s - qq * s
-            old_t, t = t, old_t - qq * t
-        if old_r < 0:
-            old_r, old_s, old_t = -old_r, -old_s, -old_t
-        return Scalar(ring, old_r), Scalar(ring, old_s), Scalar(ring, old_t)
-    if ring.kind == "Qt":
-        g, u, v = _pegcd(x.value, y.value)
-        return Scalar(ring, g), Scalar(ring, u), Scalar(ring, v)
-    raise UnsupportedRing(f"bezout not implemented over {ring!r}")
+    return tuple(Scalar(ring, a) for a in ring.egcd(x.value, y.value))
 
 
 def is_coprime_pair(x: Scalar, y: Scalar) -> bool:
@@ -970,66 +1056,16 @@ def primitive_vector(v: Sequence[Scalar]) -> tuple[Scalar, ...]:
             raise RingMismatch("mixed rings in vector")
     if all(s.is_zero() for s in v):
         raise ZeroVector("primitive_vector of the zero vector")
-
-    if ring.kind == "Q":
-        denlcm = 1
-        for s in v:
-            d = s.value.denominator
-            denlcm = denlcm * d // _int_gcd(denlcm, d)
-        ints = [s.value.numerator * (denlcm // s.value.denominator) for s in v]
-        g = 0
-        for n in ints:
-            g = _int_gcd(g, n)
-        ints = [n // g for n in ints]
-        first = next(n for n in ints if n)
-        if first < 0:
-            ints = [-n for n in ints]
-        return tuple(Scalar(ring, Fraction(n)) for n in ints)
-
-    if ring.kind == "Z":
-        g = 0
-        for s in v:
-            g = _int_gcd(g, s.value)
-        ints = [s.value // g for s in v]
-        first = next(n for n in ints if n)
-        if first < 0:
-            ints = [-n for n in ints]
-        return tuple(Scalar(ring, n) for n in ints)
-
-    if ring.kind == "Qt":
-        g = _PZERO
-        for s in v:
-            g = _pgcd(g, s.value)
-        vals = [ring.div(s.value, g) for s in v]
-        first = next(p for p in vals if p)
-        lc = first[-1]
-        vals = [_pscale(p, 1 / lc) for p in vals]
-        return tuple(Scalar(ring, p) for p in vals)
-
-    # remaining field kinds: scale the first nonzero entry to 1
-    first = next(s for s in v if not s.is_zero())
-    inv = first.inverse()
-    return tuple(s * inv for s in v)
+    return tuple(Scalar(ring, a) for a in ring.primitive([s.value for s in v]))
 
 
 def embed(x: Scalar, target: RingDescriptor) -> Scalar:
     """Embed x into a larger ring (Z -> Q/Qt/QSqrt, Q -> QSqrt/Qt)."""
-    src = x.ring
-    if src == target:
+    if x.ring == target:
         return x
-    if src.kind == "Z":
-        if target.kind == "Q":
-            return Scalar(target, Fraction(x.value))
-        if target.kind == "Qsqrt":
-            return Scalar(target, (Fraction(x.value), Fraction(0)))
-        if target.kind == "Qt":
-            return Scalar(target, target.coerce(Fraction(x.value)))
-    if src.kind == "Q":
-        if target.kind == "Qsqrt":
-            return Scalar(target, (x.value, Fraction(0)))
-        if target.kind == "Qt":
-            return Scalar(target, target.coerce(x.value))
-    raise UnsupportedRing(f"no embedding {src!r} -> {target!r}")
+    if isinstance(x.ring, target.subrings):
+        return Scalar(target, target.coerce(x.value))
+    raise UnsupportedRing(f"no embedding {x.ring!r} -> {target!r}")
 
 
 def sqrt_with_extension(x: Scalar) -> tuple[Scalar, RingDescriptor | None]:
@@ -1045,11 +1081,4 @@ def sqrt_with_extension(x: Scalar) -> tuple[Scalar, RingDescriptor | None]:
     r = x.ring.try_sqrt_raw(x.value)
     if r is not None:
         return Scalar(x.ring, r), None
-    if x.ring.kind == "Q":
-        d = squarefree_part(x.value)
-        ext = QSqrt(d)
-        s = _sqrt_fraction(x.value / d)
-        return Scalar(ext, (Fraction(0), s)), ext
-    if x.ring.kind == "Qsqrt":
-        raise TowerTooDeep(f"sqrt of {x!r} needs a second quadratic extension")
-    raise UnsupportedRing(f"no representable quadratic extension of {x.ring!r}")
+    return x.ring.adjoin_sqrt(x.value)

@@ -68,84 +68,57 @@ class SimilarityWitness:
 # exact linear algebra on 4-column systems over any of the five rings
 
 
-def _normalize_row(row: list[Scalar], ring: RingDescriptor) -> list[Scalar]:
-    """Divide out the row content (field: make the first nonzero entry 1)."""
-    nz = [x for x in row if not x.is_zero()]
-    if not nz:
-        return row
-    if ring.is_field:
-        inv = nz[0].inverse()
-        return [x * inv for x in row]
-    if ring.kind == "Z":
-        from math import gcd
-        g = 0
-        for x in nz:
-            g = gcd(g, x.value)
-        if nz[0].value < 0:
-            g = -g
-        return [Scalar(ring, x.value // g) for x in row]
-    if ring.kind == "Qt":
-        from .rings import _pgcd, _pscale
-        g = ()
-        for x in nz:
-            g = _pgcd(g, x.value)
-        vals = [ring.div(x.value, g) for x in row]
-        lead = next(p for p in vals if p)
-        scale = 1 / lead[-1]
-        return [Scalar(ring, _pscale(p, scale)) for p in vals]
-    return row
-
-
-def _nullspace4(rows: list[list[Scalar]], ring: RingDescriptor) -> list[list[Scalar]]:
-    """Basis of the nullspace of a matrix with 4 columns, fraction-free."""
-    m = [_normalize_row(r, ring) for r in rows if any(not x.is_zero() for x in r)]
+def _nullspace4(rows: list[list], ring: RingDescriptor) -> list[tuple]:
+    """Basis of the nullspace of a matrix with 4 columns of raw values,
+    fraction-free, each row and basis vector kept primitive."""
+    is_zero, mul, sub, primitive = ring.is_zero, ring.mul, ring.sub, ring.primitive
+    m = [primitive(r) for r in rows if not all(map(is_zero, r))]
     pivots: list[int] = []
     r = 0
     for col in range(4):
         piv = None
         for i in range(r, len(m)):
-            if not m[i][col].is_zero():
+            if not is_zero(m[i][col]):
                 piv = i
                 break
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
         for i in range(len(m)):
-            if i != r and not m[i][col].is_zero():
+            if i != r and not is_zero(m[i][col]):
                 f1, f2 = m[r][col], m[i][col]
-                m[i] = _normalize_row(
-                    [f1 * m[i][j] - f2 * m[r][j] for j in range(4)], ring)
+                m[i] = primitive([sub(mul(f1, m[i][j]), mul(f2, m[r][j])) for j in range(4)])
         pivots.append(col)
         r += 1
         if r == len(m):
             break
-    pivot_set = set(pivots)
     basis = []
-    prod = ring.one()
+    prod = ring.raw_one()
     for i, col in enumerate(pivots):
-        prod = prod * m[i][col]
+        prod = mul(prod, m[i][col])
     for f in range(4):
-        if f in pivot_set:
+        if f in pivots:
             continue
-        vec = [ring.zero()] * 4
+        vec = [ring.raw_zero()] * 4
         vec[f] = prod
         for i, col in enumerate(pivots):
-            vec[col] = -(m[i][f] * (prod / m[i][col]))
-        basis.append(_normalize_row(vec, ring))
+            vec[col] = ring.neg(mul(m[i][f], ring.div(prod, m[i][col])))
+        basis.append(primitive(vec))
     return basis
 
 
 def _intertwiner_nullspace(pairs: list[tuple[Mat2, Mat2]], ring: RingDescriptor) -> list[Mat2]:
     """Basis of {g : g A = B g for every anchor pair (A, B)}."""
-    rows: list[list[Scalar]] = []
+    rows: list[list] = []
     z = ring.zero()
     for a, b in pairs:
         # unknowns (g11, g12, g21, g22); gA - Bg = 0 entrywise
-        rows.append([a.a - b.a, a.c, -b.b, z])
-        rows.append([a.b, a.d - b.a, z, -b.b])
-        rows.append([-b.c, z, a.a - b.d, a.c])
-        rows.append([z, -b.c, a.b, a.d - b.d])
-    return [Mat2(v[0], v[1], v[2], v[3]) for v in _nullspace4(rows, ring)]
+        for row in ([a.a - b.a, a.c, -b.b, z],
+                    [a.b, a.d - b.a, z, -b.b],
+                    [-b.c, z, a.a - b.d, a.c],
+                    [z, -b.c, a.b, a.d - b.d]):
+            rows.append([x.value for x in row])
+    return [Mat2(*(Scalar(ring, x) for x in v)) for v in _nullspace4(rows, ring)]
 
 
 def _invertible_in_span(basis: list[Mat2]) -> Mat2 | None:

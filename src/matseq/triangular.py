@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import InternalInconsistency, UnsupportedRing
+from .errors import ExactDivisionError, InternalInconsistency
 from .invariants import big_delta, sigma
 from .matcore import GroupElement, Mat2, MatSeq, conjugate, conjugate_mat
 from .rings import Scalar, bezout, primitive_vector, sqrt_in_ring
@@ -139,8 +139,9 @@ def eigenvalues_in_ring(m: Mat2) -> tuple[Scalar, Scalar] | None:
     """Roots of the characteristic polynomial inside the ring, or None.
 
     The first root is the canonical one: (tr + r)/2 with r the canonical
-    square root of the discriminant.  Over Z the parity of tr and r must
-    match; in characteristic 2 the quadratic is solved by direct search.
+    square root of the discriminant; when the division by 2 leaves the ring
+    (over Z: tr and r of different parity) there is no root in the ring.  In
+    characteristic 2 the quadratic is solved by direct search.
     """
     ring = m.ring
     t, det = m.trace(), m.det()
@@ -157,10 +158,11 @@ def eigenvalues_in_ring(m: Mat2) -> tuple[Scalar, Scalar] | None:
     r = sqrt_in_ring(m.disc())
     if r is None:
         return None
-    if ring.kind == "Z" and (t.value + r.value) % 2 != 0:
-        return None
     two = ring.scalar_from_int(2)
-    return ((t + r) / two, (t - r) / two)
+    try:
+        return ((t + r) / two, (t - r) / two)
+    except ExactDivisionError:
+        return None
 
 
 def eigenvector_for(m: Mat2, lam: Scalar) -> tuple[Scalar, Scalar] | None:
@@ -198,11 +200,8 @@ def singlet_triangularizable(m: Mat2) -> TriangularizationWitness | None:
     ring, and an eigenvector that extends to an invertible matrix (automatic
     over fields and the Euclidean rings supported here).
     """
-    ring = m.ring
-    if not (ring.is_field or ring.is_euclidean):
-        raise UnsupportedRing(f"no eigenvector completion over {ring!r}")
     if m.is_upper_triangular():
-        return TriangularizationWitness(GroupElement.identity(ring), MatSeq([m]))
+        return TriangularizationWitness(GroupElement.identity(m.ring), MatSeq([m]))
     ev = eigenvalues_in_ring(m)
     if ev is None:
         return None

@@ -95,6 +95,19 @@ class TestTri:
         assert json.loads(r.stdout)["reduced_length"] == 1
 
 
+    def test_unfactorable_discriminant_refused(self, tmp_path):
+        # the anchor discriminant 4m needs squarefree_part; m has two large factors
+        m = (2 ** 61 - 1) * (2 ** 31 - 1)
+        doc = {"ring": {"kind": "Q"}, "matrices": [[[0, m], [1, 0]], [[1, 0], [0, 0]]]}
+        f = write(tmp_path, "s.json", doc)
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(matseq.__file__)))
+        r = subprocess.run([sys.executable, "-m", "matseq.cli", "canon", f],
+                           env=env, capture_output=True, text=True, timeout=20)
+        assert r.returncode == 3, r.stderr
+        assert r.stderr.startswith("matseq:") and "Traceback" not in r.stderr
+
+
 class TestSimilar:
     def test_similar_pair(self, tmp_path, capsys):
         a = write(tmp_path, "a.json",
@@ -115,6 +128,16 @@ class TestSimilar:
         code, doc = run(capsys, ["similar", a, b])
         assert code == 0
         assert doc == {"similar": False}
+
+    def test_rational_witness_is_an_integer_matrix(self, tmp_path, capsys):
+        from matseq import GroupElement, Mat2, conjugate, seq
+        a = seq(Q, [[["1/2", 0], [0, 0]], [[1, "1/3"], ["1/5", 0]]])
+        g = GroupElement(Mat2.from_rows(Q, [["2/3", 1], [1, 3]]))
+        fa = write(tmp_path, "a.json", a.to_json())
+        fb = write(tmp_path, "b.json", conjugate(g, a).to_json())
+        code, doc = run(capsys, ["similar", fa, fb])
+        assert code == 0 and doc["similar"] is True
+        assert all("/" not in x for row in doc["g"] for x in row)
 
     def test_length_mismatch_is_input_error(self, tmp_path, capsys):
         a = write(tmp_path, "a.json",
@@ -322,3 +345,48 @@ class TestErrorsAndBatch:
         finally:
             sys.argv = old
         capsys.readouterr()
+
+
+class TestHostileInput:
+    @pytest.mark.parametrize("doc", [
+        {"ring": {"kind": "Q"}, "matrices": [[["1/0", "0"], ["0", "1"]]]},
+        {"ring": {"kind": "GF", "p": 3.7}, "matrices": [[[1, 0], [0, 1]]]},
+        {"ring": {"kind": "Q"}, "matrices": [[["1e2000000", "0"], ["0", "1"]]]},
+    ], ids=["zero-denominator", "float-modulus", "exponent"])
+    def test_refused_as_input_error(self, doc, tmp_path, capsys):
+        f = write(tmp_path, "s.json", doc)
+        assert main(["tri", f]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("matseq:") and "Traceback" not in err
+
+
+# the exit code of every error class, as the CLI mapped them before the
+# codes were declared on the classes
+SEED_EXIT_CODES = {
+    "RingMismatch": 2, "UnsupportedRing": 3, "ExactDivisionError": 2,
+    "BadIndex": 2, "ZeroVector": 2, "Char2Unsupported": 3,
+    "LengthMismatch": 2, "LengthTooShort": 2, "TowerTooDeep": 3,
+    "NotTriangularizable": 2, "CommutativeInput": 2, "NotCommutative": 2,
+    "NotCanonical1a": 2, "DegenerateDiscriminant": 2, "ZeroC2": 2,
+    "NotApplicable": 2, "TooLarge": 3, "InternalInconsistency": 4,
+}
+ERROR_CLASSES = [c for c in vars(matseq.errors).values()
+                 if isinstance(c, type) and issubclass(c, matseq.errors.MatseqError)
+                 and c is not matseq.errors.MatseqError]
+
+
+class TestExitCodes:
+    def test_every_error_class_is_listed(self):
+        assert sorted(c.__name__ for c in ERROR_CLASSES) == sorted(SEED_EXIT_CODES)
+
+    @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
+    def test_error_class_exit_code(self, cls):
+        from matseq.cli import _classify_exception
+        assert cls.exit_code == SEED_EXIT_CODES[cls.__name__]
+        assert _classify_exception(cls("x")) == SEED_EXIT_CODES[cls.__name__]
+
+    @pytest.mark.parametrize("exc", [ValueError("x"), KeyError("x"), TypeError("x"),
+                                     OSError("x"), json.JSONDecodeError("x", "", 0)])
+    def test_python_input_errors_exit_2(self, exc):
+        from matseq.cli import _classify_exception
+        assert _classify_exception(exc) == 2

@@ -223,6 +223,48 @@ class TestSquarefreePart:
         assert r is not None
 
 
+    @staticmethod
+    def _trial_division(x: Fraction) -> int:
+        """The unbounded trial division used before the factor bound."""
+        n = x.numerator * x.denominator
+        sign, n, d, f = (-1 if n < 0 else 1), abs(n), 1, 2
+        while f * f <= n:
+            e = 0
+            while n % f == 0:
+                n, e = n // f, e + 1
+            d *= f if e % 2 else 1
+            f += 1 if f == 2 else 2
+        return sign * d * n
+
+    @pytest.mark.parametrize("n", [
+        999_983 * 1_000_003,          # two primes around the bound
+        1_000_003 ** 2 * 6,           # square of a prime above the bound
+        999_983 ** 2,
+        -(2 ** 39 - 7),               # a prime below 10^12
+        2 ** 20 * 3 ** 7 * 11,
+        999_999_999_989,              # the largest prime below 10^12
+        Fraction(999_983 * 5, 1_000_003),
+    ])
+    def test_matches_trial_division_below_1e12(self, n):
+        x = Fraction(n)
+        assert squarefree_part(x) == self._trial_division(x)
+
+    @pytest.mark.parametrize("n,expected", [
+        ((2 ** 61 - 1) * 12, (2 ** 61 - 1) * 3),      # proven prime cofactor
+        (-5 * (2 ** 61 - 1) ** 2, -5),                # square cofactor
+    ])
+    def test_large_cofactor_accepted(self, n, expected):
+        assert squarefree_part(Fraction(n)) == expected
+
+    @pytest.mark.parametrize("n", [
+        (2 ** 61 - 1) * (2 ** 31 - 1),                # composite, both factors large
+        (2 ** 89 - 1) * 4,                            # beyond the proven primality bound
+    ])
+    def test_unfactorable_cofactor_refused(self, n):
+        with pytest.raises(TooLarge):
+            squarefree_part(Fraction(n))
+
+
 class TestSqrtWithExtension:
     def test_stays_in_ring_when_possible(self):
         r, ext = sqrt_with_extension(Q(Fraction(9, 4)))
@@ -309,6 +351,19 @@ class TestPrimitiveVector:
         with pytest.raises(ZeroVector):
             primitive_vector((Z(0), Z(0)))
 
+    @pytest.mark.parametrize("ring", RINGS)
+    def test_descriptor_keeps_zero_vectors(self, ring):
+        zeros = (ring.raw_zero(),) * 4
+        assert ring.primitive(zeros) == zeros
+
+    def test_descriptor_rule_per_ring(self):
+        assert Q.primitive((Fraction(-2, 3), Fraction(0), Fraction(4, 9))) == (
+            Fraction(3), Fraction(0), Fraction(-2))
+        assert Q.primitive((Fraction(0), Fraction(-2, 3))) == (Fraction(0), Fraction(1))
+        assert Z.primitive((0, -6, 9)) == (0, 2, -3)
+        assert QSqrt(2).primitive(((Fraction(0), Fraction(2)), (Fraction(4), Fraction(0)))) == (
+            (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+
     def test_mixed_rings_rejected(self):
         with pytest.raises(RingMismatch):
             primitive_vector((Z(1), Q(1)))
@@ -357,3 +412,43 @@ class TestScalarBehavior:
     def test_hash_consistency(self):
         assert hash(GF(5)(2)) == hash(GF(5)(2))
         assert len({Q(1), Q(1), Q(2)}) == 2
+        assert len({GF(5)(2), GF(7)(2), Z(2), Q(2), QSqrt(3)(2), QSqrt(5)(2)}) == 6
+
+    def test_power_by_squaring(self):
+        assert GF(7)(3) ** 10 ** 18 == GF(7)(pow(3, 10 ** 18, 7))
+        assert Q(Fraction(-2, 3)) ** 5 == Q(Fraction(-32, 243))
+        assert QT([1, 1]) ** 3 == QT([1, 3, 3, 1])
+        assert Z(5) ** 0 == Z(1)
+
+
+class TestScalarSyntax:
+    @pytest.mark.parametrize("text,value", [
+        ("3", Fraction(3)), ("-3/4", Fraction(-3, 4)), ("+0.25", Fraction(1, 4)),
+        (".5", Fraction(1, 2)), ("2.", Fraction(2)), (" 7/14 ", Fraction(1, 2)),
+    ])
+    def test_accepted(self, text, value):
+        assert scalar_from_json(Q, text) == Q(value)
+
+    @pytest.mark.parametrize("text", [
+        "1/0", "0/0", "1e3", "1E3", "1.5e2", "1e2000000", "inf", "nan", "1/2/3", "", "1/-2",
+    ])
+    def test_refused(self, text):
+        with pytest.raises(ValueError):
+            scalar_from_json(Q, text)
+        with pytest.raises(ValueError):
+            scalar_from_json(QT, [text])
+        with pytest.raises(ValueError):
+            scalar_from_json(QSqrt(2), {"a": text, "b": "0", "d": "2"})
+
+    @pytest.mark.parametrize("value", [True, False, 1.5])
+    def test_non_integer_json_refused(self, value):
+        with pytest.raises(ValueError):
+            scalar_from_json(Q, value)
+
+    @pytest.mark.parametrize("p", [3.7, 5.0, True, None, [5]])
+    def test_gf_modulus_must_be_an_integer(self, p):
+        with pytest.raises(ValueError):
+            ring_from_json({"kind": "GF", "p": p})
+
+    def test_gf_modulus_as_string(self):
+        assert ring_from_json({"kind": "GF", "p": "5"}) is GF(5)
