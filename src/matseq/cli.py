@@ -16,8 +16,8 @@ import json
 import sys
 
 from .canonical import canonicalize, classify as canonical_classify, reconstruct_semisimple, reconstruct_triangular
-from .errors import Char2Unsupported, InternalInconsistency, MatseqError, UnsupportedRing
-from .invariants import all_trace_words, big_delta, sigma, tau
+from .errors import Char2Unsupported, InternalInconsistency, MatseqError, TooLarge, UnsupportedRing
+from .invariants import all_trace_words, big_delta_explicit, sigma_explicit, tau
 from .matcore import MatSeq, matseq_from_json
 from .oracle import brute_similar, brute_triangularizable
 from .rings import ring_to_json
@@ -37,6 +37,10 @@ from .triangular import (
     is_triangularizable_fast,
     triangularize,
 )
+
+# the default invariants report refuses sequences with more Delta triples
+MAX_REPORT_TRIPLES = 20_000
+
 
 def _read_json(path: str):
     if path == "-":
@@ -149,6 +153,9 @@ def _cmd_invariants(obj, phi: bool, psi: bool, all_words: int | None):
         return {"ring": ring_to_json(s.ring), "n": s.n,
                 "max_len": all_words, "words": items}
     n = s.n
+    if n * (n - 1) * (n - 2) // 6 > MAX_REPORT_TRIPLES:
+        raise TooLarge(f"the invariants report of {n} terms has more than "
+                       f"{MAX_REPORT_TRIPLES} Delta triples")
     out = {
         "ring": ring_to_json(s.ring),
         "n": n,
@@ -157,10 +164,10 @@ def _cmd_invariants(obj, phi: bool, psi: bool, all_words: int | None):
         "disc": [t.disc().to_json() for t in s.terms],
         "tau": [{"j": j, "k": k, "value": tau(s.term(j), s.term(k)).to_json()}
                 for j in range(1, n + 1) for k in range(j + 1, n + 1)],
-        "sigma": [{"j": j, "k": k, "value": sigma(s.term(j), s.term(k)).to_json()}
+        "sigma": [{"j": j, "k": k, "value": sigma_explicit(s.term(j), s.term(k)).to_json()}
                   for j in range(1, n + 1) for k in range(j + 1, n + 1)],
         "delta": [{"j": j, "k": k, "l": l,
-                   "value": big_delta(s.term(j), s.term(k), s.term(l)).to_json()}
+                   "value": big_delta_explicit(s.term(j), s.term(k), s.term(l)).to_json()}
                   for j in range(1, n + 1)
                   for k in range(j + 1, n + 1)
                   for l in range(k + 1, n + 1)],

@@ -84,8 +84,8 @@ class NotApplicable(MatseqError):
 
 class TooLarge(MatseqError):
     """The input exceeds a size guard: an oracle enumeration too large, or a
-    modulus beyond the proven primality bound, or a number too large to
-    factor."""
+    modulus beyond the proven primality bound, a number too large to
+    factor, or a result with more digits than can be printed."""
 
     exit_code = 3
 

@@ -17,9 +17,12 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import BadIndex, Char2Unsupported, LengthTooShort
+from .errors import BadIndex, Char2Unsupported, LengthTooShort, TooLarge
 from .matcore import Mat2, MatSeq, commutator
 from .rings import Scalar
+
+# all_trace_words refuses to build more words than this
+MAX_TRACE_WORDS = 50_000
 
 
 def _require_odd_char(ring, what: str) -> None:
@@ -153,6 +156,13 @@ def all_trace_words(s: MatSeq, max_len: int) -> dict[tuple[int, ...], Scalar]:
     """t_J for every index word J with 1 <= |J| <= max_len (repeats allowed)."""
     if max_len < 1:
         raise LengthTooShort("word length bound must be at least 1")
+    count, power = 0, 1
+    for _ in range(max_len):
+        power *= s.n
+        count += power
+        if count > MAX_TRACE_WORDS:
+            raise TooLarge(f"more than {MAX_TRACE_WORDS} trace words of length "
+                           f"at most {max_len} over {s.n} terms")
     out: dict[tuple[int, ...], Scalar] = {}
     n = s.n
     words: list[tuple[tuple[int, ...], Mat2]] = [((), None)]

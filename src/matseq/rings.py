@@ -23,6 +23,7 @@ nonnegative over Z and monic over Q[t].
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import gcd as _int_gcd, isqrt, lcm as _int_lcm
 from typing import Sequence
@@ -279,6 +280,15 @@ def _parse_fraction(x) -> Fraction:
     raise ValueError(f"expected a rational string, got {x!r}")
 
 
+def _decimal(x: int | Fraction) -> str:
+    """str(x), refused with TooLarge past Python's int-to-str digit limit."""
+    try:
+        return str(x)
+    except ValueError:
+        raise TooLarge("a result has more digits than can be printed "
+                       f"(limit {sys.get_int_max_str_digits()})") from None
+
+
 def _int_primitive(ints: Sequence[int]) -> tuple[int, ...]:
     """ints divided by their gcd, first nonzero entry positive (zero unchanged)."""
     g = _int_gcd(*ints)
@@ -513,7 +523,7 @@ class IntegerRing(RingDescriptor):
         return _int_primitive(vals)
 
     def value_to_json(self, a):
-        return str(a)
+        return _decimal(a)
 
     def value_from_json(self, obj):
         if isinstance(obj, str):
@@ -587,7 +597,7 @@ class RationalRing(RingDescriptor):
         return Scalar(ext, (Fraction(0), _sqrt_fraction(a / d))), ext
 
     def value_to_json(self, a):
-        return str(a)
+        return _decimal(a)
 
     value_from_json = coerce
 
@@ -736,7 +746,7 @@ class QuadExtRing(RingDescriptor):
         raise TowerTooDeep(f"sqrt of {self!r}:{a!r} needs a second quadratic extension")
 
     def value_to_json(self, a):
-        return {"a": str(a[0]), "b": str(a[1]), "d": str(self.d)}
+        return {"a": _decimal(a[0]), "b": _decimal(a[1]), "d": _decimal(self.d)}
 
     def value_from_json(self, obj):
         if not isinstance(obj, dict) or set(obj) != {"a", "b", "d"}:
@@ -746,7 +756,7 @@ class QuadExtRing(RingDescriptor):
         return (_parse_fraction(obj["a"]), _parse_fraction(obj["b"]))
 
     def to_json(self):
-        return {"kind": self.kind, "d": str(self.d)}
+        return {"kind": self.kind, "d": _decimal(self.d)}
 
     def __repr__(self):
         return f"QSqrt({self.d})"
@@ -822,7 +832,7 @@ class PolynomialRing(RingDescriptor):
         return tuple(_pscale(a, 1 / lc) for a in vals)
 
     def value_to_json(self, a):
-        return [str(c) for c in a]
+        return [_decimal(c) for c in a]
 
     def value_from_json(self, obj):
         if not isinstance(obj, list):
@@ -885,7 +895,8 @@ class Scalar:
     """A ring element: a descriptor plus a canonical raw value.
 
     Arithmetic requires both operands to share a ring (plain ``int`` operands
-    are coerced).  ``/`` is exact division and raises
+    are coerced); equality does not coerce, so a scalar never equals a plain
+    ``int`` and ``==`` agrees with ``hash``.  ``/`` is exact division and raises
     :class:`ExactDivisionError` when the quotient leaves the ring.
     """
 
@@ -960,10 +971,10 @@ class Scalar:
         return Scalar(self.ring, out)
 
     def __eq__(self, other):
+        # plain ints compare unequal: a GF(p) scalar would equal infinitely
+        # many of them, and no hash could agree with that
         if other.__class__ is Scalar:
             return self.ring == other.ring and self.value == other.value
-        if isinstance(other, int) and not isinstance(other, bool):
-            return self.value == self.ring.from_int(other)
         return NotImplemented
 
     def __hash__(self):

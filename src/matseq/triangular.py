@@ -3,14 +3,20 @@
 Two non-scalar 2x2 matrices commute exactly when their entry vectors
 (b, e, c) are proportional, which makes commuting an equivalence relation on
 the non-scalar terms of a sequence.  ``maximal_reduction`` keeps the first
-term of each class; triangularizability is insensitive to the dropped
-terms.
+term of each class; it keys each term by the canonical unit-content multiple
+of its entry vector, one pass over the terms.  Triangularizability is
+insensitive to the dropped terms.
 
 The full criterion: a sequence is triangularizable over its ring iff every
 term is (eigenvalues in the ring plus a unimodular eigenvector) and all pair
-obstructions sigma and triple obstructions Delta vanish.  The fast engine
-reduces first and, for reduced length >= 4, only tests sigma for pairs
-whose smaller index is 1, 2 or 3.
+obstructions sigma and triple obstructions Delta vanish.  Both obstructions
+are functions of the entry vectors, so ``first_obstruction`` follows the
+rank of the entry vectors: rank <= 1 has none, rank 2 has at most the pair
+of its first two independent vectors, and rank 3 scans the sigma pairs in
+order and falls back to the first independent triple.  Its cost is linear in
+the length for rank <= 2 (every triangularizable sequence) and at most
+quadratic for rank 3.  The fast engine reduces first and, for reduced
+length >= 4, only tests sigma for pairs whose smaller index is 1, 2 or 3.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ExactDivisionError, InternalInconsistency
-from .invariants import big_delta, sigma
+from .invariants import sigma_explicit
 from .matcore import GroupElement, Mat2, MatSeq, conjugate, conjugate_mat
 from .rings import Scalar, bezout, primitive_vector, sqrt_in_ring
 
@@ -53,41 +59,64 @@ class TriangularizationWitness:
     triangular: MatSeq
 
 
-def _proportional3(u: tuple[Scalar, Scalar, Scalar], v: tuple[Scalar, Scalar, Scalar]) -> bool:
-    """All 2x2 minors of the 2x3 matrix (u; v) vanish."""
-    return ((u[0] * v[1] - u[1] * v[0]).is_zero()
-            and (u[0] * v[2] - u[2] * v[0]).is_zero()
-            and (u[1] * v[2] - u[2] * v[1]).is_zero())
+def _vector(m: Mat2) -> tuple:
+    """The raw entry vector (b, a - d, c) of m."""
+    return (m.b.value, m.ring.sub(m.a.value, m.d.value), m.c.value)
+
+
+def _vanish(ring, xs) -> bool:
+    """Every raw value in xs is zero."""
+    return all(ring.is_zero(x) for x in xs)
+
+
+def _minors(ring, u: tuple, v: tuple) -> tuple:
+    """The 2x2 minors (p, q, r) of the raw 2x3 matrix (u; v), named as in
+    ``sigma_explicit``: p = b_u e_v - e_u b_v, q = c_u e_v - e_u c_v,
+    r = b_u c_v - c_u b_v.  All vanish exactly when u and v are proportional."""
+    mul, sub = ring.mul, ring.sub
+    return (sub(mul(u[0], v[1]), mul(u[1], v[0])),
+            sub(mul(u[2], v[1]), mul(u[1], v[2])),
+            sub(mul(u[0], v[2]), mul(u[2], v[0])))
+
+
+def _sigma_of_minors(ring, m: tuple):
+    """sigma = p q - r^2 from the minors of the two entry vectors."""
+    p, q, r = m
+    return ring.sub(ring.mul(p, q), ring.mul(r, r))
+
+
+def _det_against(ring, m: tuple, w: tuple):
+    """det [u v w] from the minors m = (p, q, r) of (u; v): w_c p - w_b q - w_e r."""
+    p, q, r = m
+    return ring.sub(ring.mul(w[2], p), ring.add(ring.mul(w[0], q), ring.mul(w[1], r)))
 
 
 def commutes(x: Mat2, y: Mat2) -> bool:
     """xy = yx, tested via the entry-vector minors (no matrix products)."""
-    return _proportional3((x.b, x.e, x.c), (y.b, y.e, y.c))
+    return _vanish(x.ring, _minors(x.ring, _vector(x), _vector(y)))
 
 
 def is_commutative(s: MatSeq) -> bool:
     """Every pair of terms commutes."""
-    vecs = [(t.b, t.e, t.c) for t in s.terms if not t.is_scalar()]
-    return all(_proportional3(vecs[0], v) for v in vecs[1:])
+    ring = s.ring
+    vecs = [v for v in map(_vector, s.terms) if not _vanish(ring, v)]
+    return all(_vanish(ring, _minors(ring, vecs[0], v)) for v in vecs[1:])
 
 
 def maximal_reduction(s: MatSeq) -> ReductionInfo:
-    """Partition non-scalar terms into commuting classes; keep the first of each."""
-    reps: list[tuple[Scalar, Scalar, Scalar]] = []
-    members: list[list[int]] = []
-    for i, t in enumerate(s.terms, start=1):
-        if t.is_scalar():
-            continue
-        v = (t.b, t.e, t.c)
-        for k, w in enumerate(reps):
-            if _proportional3(v, w):
-                members[k].append(i)
-                break
-        else:
-            reps.append(v)
-            members.append([i])
-    kept = tuple(m[0] for m in members)
-    return ReductionInfo(kept, tuple(tuple(m) for m in members))
+    """Partition non-scalar terms into commuting classes; keep the first of each.
+
+    Two non-scalar terms commute exactly when their entry vectors are
+    proportional, which is exactly when the vectors have the same canonical
+    unit-content multiple (``ring.primitive``); that multiple keys the class.
+    """
+    ring = s.ring
+    classes: dict[tuple, list[int]] = {}
+    for i, v in enumerate(map(_vector, s.terms), start=1):
+        if not _vanish(ring, v):
+            classes.setdefault(ring.primitive(v), []).append(i)
+    members = list(classes.values())
+    return ReductionInfo(tuple(m[0] for m in members), tuple(tuple(m) for m in members))
 
 
 def first_obstruction(s: MatSeq) -> tuple[int, ...] | None:
@@ -95,19 +124,40 @@ def first_obstruction(s: MatSeq) -> tuple[int, ...] | None:
     the first triple (j, k, l) with Delta != 0, else None.
 
     None means the sequence is triangularizable over a one-step quadratic
-    closure of its ring.
+    closure of its ring.  One pass finds the greedy basis of the entry
+    vectors v_i: a the first nonzero one, b the first not proportional to
+    v_a, c the first outside span(v_a, v_b).  Delta(j, k, l) is the squared
+    determinant of v_j, v_k, v_l, so every Delta vanishes below rank 3 and
+    (a, b, c) is the first triple with Delta != 0 in rank 3.  In rank 2 every
+    sigma is a squared coordinate determinant times sigma(a, b), so (a, b) is
+    the first nonzero sigma or all vanish.  Only rank 3 scans the sigma
+    pairs, in order, up to the first nonzero one.  The cost is linear in n
+    up to rank 2 and at most quadratic in rank 3.
     """
-    n = s.n
-    for j in range(n):
-        for k in range(j + 1, n):
-            if not sigma(s[j], s[k]).is_zero():
+    ring = s.ring
+    is_zero = ring.is_zero
+    vs = [_vector(t) for t in s.terms]
+    nonzero = [i for i, v in enumerate(vs) if not _vanish(ring, v)]
+    if not nonzero:
+        return None
+    a, b, c, ab = nonzero[0], None, None, None
+    for i in nonzero[1:]:
+        if b is None:
+            m = _minors(ring, vs[a], vs[i])
+            if not _vanish(ring, m):
+                b, ab = i, m
+        elif not is_zero(_det_against(ring, ab, vs[i])):
+            c = i
+            break
+    if c is None:
+        if b is None or is_zero(_sigma_of_minors(ring, ab)):
+            return None
+        return (a, b)
+    for jj, j in enumerate(nonzero):
+        for k in nonzero[jj + 1:]:
+            if not is_zero(_sigma_of_minors(ring, _minors(ring, vs[j], vs[k]))):
                 return (j, k)
-    for j in range(n):
-        for k in range(j + 1, n):
-            for l in range(k + 1, n):
-                if not big_delta(s[j], s[k], s[l]).is_zero():
-                    return (j, k, l)
-    return None
+    return (a, b, c)
 
 
 class Profile:
@@ -219,7 +269,7 @@ def singlet_triangularizable(m: Mat2) -> TriangularizationWitness | None:
 
 def pair_triangularizable(x: Mat2, y: Mat2) -> bool:
     """Both singlets triangularizable and sigma(x, y) = 0."""
-    if not sigma(x, y).is_zero():
+    if not sigma_explicit(x, y).is_zero():
         return False
     return (singlet_triangularizable(x) is not None
             and singlet_triangularizable(y) is not None)
@@ -256,7 +306,7 @@ def is_triangularizable_fast(s: MatSeq | Profile) -> bool:
         return is_triangularizable(MatSeq(kept))
     for j in range(min(3, l)):
         for k in range(j + 1, l):
-            if not sigma(kept[j], kept[k]).is_zero():
+            if not sigma_explicit(kept[j], kept[k]).is_zero():
                 return False
     return all(singlet_triangularizable(t) is not None for t in kept)
 

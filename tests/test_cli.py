@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import matseq
-from matseq import Q, big_delta, is_commutative, sigma
+from matseq import Q, big_delta, first_obstruction, is_commutative, sigma
 from matseq.cli import main
 
 from genseq import rand_triangularizable_seq
@@ -185,10 +185,12 @@ class TestObstructionScan:
         s = rand_triangularizable_seq(random.Random(8), Q, 8)
         assert not is_commutative(s)
         f = write(tmp_path, "s.json", s.to_json())
+        scans = count_calls(first_obstruction)
         sigmas, deltas = count_calls(sigma), count_calls(big_delta)
         code, _ = run(capsys, [verb, f])
         assert code == 0
-        assert (len(sigmas), len(deltas)) == (28, 56)  # C(8, 2), C(8, 3)
+        # the definitional sigma and Delta are reference checks only
+        assert (len(scans), len(sigmas), len(deltas)) == (1, 0, 0)
 
 
 class TestInvariants:
@@ -230,6 +232,39 @@ class TestInvariants:
         f = write(tmp_path, "s.json", PAIR_Q)
         assert main(["invariants", f, "--phi", "--psi"]) == 2
         capsys.readouterr()
+
+    def test_report_size_guard(self, tmp_path, capsys):
+        from matseq.cli import MAX_REPORT_TRIPLES
+        n = 3
+        while n * (n - 1) * (n - 2) // 6 <= MAX_REPORT_TRIPLES:
+            n += 1
+        doc = {"ring": {"kind": "Q"}, "matrices": [[[j, 1], [0, 0]] for j in range(n)]}
+        f = write(tmp_path, "s.json", doc)
+        assert main(["invariants", f]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("matseq:") and "Traceback" not in captured.err
+
+    def test_all_words_size_guard(self, tmp_path, capsys):
+        from matseq.invariants import MAX_TRACE_WORDS
+        k = MAX_TRACE_WORDS.bit_length()  # 2 + 4 + ... + 2^k > MAX_TRACE_WORDS
+        f = write(tmp_path, "s.json", PAIR_Q)
+        assert main(["invariants", f, "--all-words", str(k)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("matseq:") and "Traceback" not in captured.err
+
+    def test_result_too_large_to_print(self, tmp_path):
+        # the answer is computed, but its integers pass Python's str limit
+        b = "9" * 2200
+        doc = {"ring": {"kind": "Q"}, "matrices": [[[b, 1], [0, 2]], [[1, 0], [b, 3]]]}
+        f = write(tmp_path, "s.json", doc)
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(matseq.__file__)))
+        r = subprocess.run([sys.executable, "-m", "matseq.cli", "invariants", f, "--phi"],
+                           env=env, capture_output=True, text=True, timeout=20)
+        assert r.returncode == 3, r.stderr
+        assert r.stderr.startswith("matseq:") and "Traceback" not in r.stderr
 
 
 class TestReconstruct:

@@ -414,6 +414,13 @@ class TestScalarBehavior:
         assert len({Q(1), Q(1), Q(2)}) == 2
         assert len({GF(5)(2), GF(7)(2), Z(2), Q(2), QSqrt(3)(2), QSqrt(5)(2)}) == 6
 
+    def test_int_equality_agrees_with_hash(self):
+        assert Q(1) != 1 and not (Q(1) == 1) and not (1 == Q(1))
+        assert GF(3)(1) != 4 and GF(3)(1) != 1
+        assert len({Q(1), 1}) == 2
+        assert Q(1) + 1 == Q(2)
+        assert 1 - GF(3)(2) == GF(3)(2)
+
     def test_power_by_squaring(self):
         assert GF(7)(3) ** 10 ** 18 == GF(7)(pow(3, 10 ** 18, 7))
         assert Q(Fraction(-2, 3)) ** 5 == Q(Fraction(-32, 243))

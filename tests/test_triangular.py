@@ -12,6 +12,7 @@ from matseq import (
     MatSeq,
     Profile,
     Q,
+    QSqrt,
     QT,
     Z,
     big_delta,
@@ -30,10 +31,12 @@ from matseq import (
     pair_triangularizable,
     seq,
     sigma,
+    sigma_explicit,
     singlet_triangularizable,
     triangularize,
 )
 from matseq.errors import UnsupportedRing
+from matseq.rings import RationalRing
 
 from genseq import (
     rand_group_element,
@@ -202,9 +205,9 @@ class TestPairAndSequenceDeciders:
     def test_sigma_evaluation_budget(self, count_calls):
         rng = random.Random(7)
         s = rand_reduced_seq(rng, Q, 100)
-        sigma_calls = count_calls(sigma)
+        sigma_calls = count_calls(sigma_explicit)
         assert is_triangularizable_fast(s)
-        assert len(sigma_calls) <= 3 * s.n
+        assert 0 < len(sigma_calls) <= 3 * s.n
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
@@ -282,26 +285,80 @@ def _nonzero(rng, ring):
             return x
 
 
-def _stable_1c_mix(rng, ring, extra):
-    """A conjugated triple with every sigma zero and Delta nonzero (eigenlines
-    {e1, e2}, {e1, w}, {e2, w} for w = (1, -1)), shuffled among leading scalar
-    terms and terms commuting with a member of the triple."""
+def _stable_1c_triple(rng, ring):
+    """Three upper-left-normalized terms with every sigma zero and Delta
+    nonzero: eigenlines {e1, e2}, {e1, w}, {e2, w} for w = (1, -1)."""
     z = ring.zero()
     a = rand_scalar(rng, ring, 3)
     x2, y2, x3, y3 = (rand_scalar(rng, ring, 3), _nonzero(rng, ring),
                       rand_scalar(rng, ring, 3), _nonzero(rng, ring))
-    triple = [Mat2(a, z, z, a + _nonzero(rng, ring)),
-              Mat2(x2 + y2, y2, z, x2),
-              Mat2(x3, z, y3, x3 + y3)]
+    return [Mat2(a, z, z, a + _nonzero(rng, ring)),
+            Mat2(x2 + y2, y2, z, x2),
+            Mat2(x3, z, y3, x3 + y3)]
+
+
+def _commuting_with(rng, ring, t):
+    """A non-scalar y t + x I."""
+    return t.scale(_nonzero(rng, ring)) + Mat2.identity(ring).scale(rand_scalar(rng, ring, 3))
+
+
+def _scalars(rng, ring, count):
+    return [Mat2.identity(ring).scale(rand_scalar(rng, ring, 3)) for _ in range(count)]
+
+
+def _stable_1c_mix(rng, ring, extra):
+    """A conjugated Stable-1c triple, shuffled among leading scalar terms and
+    terms commuting with a member of the triple."""
+    triple = _stable_1c_triple(rng, ring)
     body = list(triple)
     for _ in range(extra):
         t = rng.choice(triple)
         x, y = rand_scalar(rng, ring, 3), rand_scalar(rng, ring, 3)
         body.append(t.scale(y) + Mat2.identity(ring).scale(x))
     rng.shuffle(body)
-    scalars = [Mat2.identity(ring).scale(rand_scalar(rng, ring, 3))
-               for _ in range(rng.randint(0, 2))]
+    scalars = _scalars(rng, ring, rng.randint(0, 2))
     return conjugate(rand_group_element(rng, ring), MatSeq(scalars + body))
+
+
+def _late_stable_1c(rng, ring, n):
+    """A conjugated length-n sequence whose first term outside the span of the
+    first two members of a Stable-1c triple comes late: scalars and commuting
+    runs on those two members fill the head, then the third member, then a
+    tail commuting with any member.  Returns the sequence and the 0-based
+    position of the third member."""
+    t1, t2, t3 = _stable_1c_triple(rng, ring)
+    head = [_commuting_with(rng, ring, t1), _commuting_with(rng, ring, t2)]
+    head += [_commuting_with(rng, ring, rng.choice([t1, t2]))
+             for _ in range(rng.randint(n // 2, n - 5))]
+    head += _scalars(rng, ring, 2)
+    rng.shuffle(head)
+    tail = [_commuting_with(rng, ring, rng.choice([t1, t2, t3]))
+            for _ in range(n - len(head) - 1)]
+    terms = head + [_commuting_with(rng, ring, t3)] + tail
+    return conjugate(rand_group_element(rng, ring), MatSeq(terms)), len(head)
+
+
+def _pairwise_reduction(s):
+    """Reference partition into commuting classes: each non-scalar term joins
+    the first class whose representative has a proportional entry vector."""
+    def proportional(u, v):
+        return ((u[0] * v[1] - u[1] * v[0]).is_zero()
+                and (u[0] * v[2] - u[2] * v[0]).is_zero()
+                and (u[1] * v[2] - u[2] * v[1]).is_zero())
+
+    reps, members = [], []
+    for i, t in enumerate(s.terms, start=1):
+        if t.is_scalar():
+            continue
+        v = (t.b, t.e, t.c)
+        for k, w in enumerate(reps):
+            if proportional(v, w):
+                members[k].append(i)
+                break
+        else:
+            reps.append(v)
+            members.append([i])
+    return tuple(m[0] for m in members), tuple(tuple(m) for m in members)
 
 
 class TestFirstObstruction:
@@ -343,3 +400,55 @@ class TestFirstObstruction:
         assert p.obstruction == _reference_obstruction(s)
         assert len(p.obstruction) == 3
         assert len(scans) == 1
+
+    def test_gf2_triple_sweep_matches_reference(self):
+        ring = GF(2)
+        mats = [Mat2(*(ring(v) for v in (a, b, c, d)))
+                for a in range(2) for b in range(2) for c in range(2) for d in range(2)]
+        kinds = {None: 0, 2: 0, 3: 0}
+        for x in mats:
+            for y in mats:
+                for z in mats:
+                    s = MatSeq([x, y, z])
+                    got = first_obstruction(s)
+                    assert got == _reference_obstruction(s), (x, y, z)
+                    kinds[None if got is None else len(got)] += 1
+        assert all(kinds.values()), kinds
+
+    @pytest.mark.parametrize("ring", [Q, Z], ids=["Q", "Z"])
+    def test_late_stable_1c_in_long_sequences(self, ring):
+        rng = random.Random(20261019)
+        for n in range(12, 31, 3):
+            s, late = _late_stable_1c(rng, ring, n)
+            assert s.n == n and late >= n // 2
+            got = first_obstruction(s)
+            assert got == _reference_obstruction(s), s
+            assert len(got) == 3 and got[2] == late
+
+    def test_linear_cost_on_triangularizable_sequence(self, monkeypatch):
+        s = rand_triangularizable_seq(random.Random(11), Q, 200)
+        ops = []
+        for name in ("mul", "add", "sub"):
+            def counted(self, a, b, _op=getattr(RationalRing, name)):
+                ops.append(None)
+                return _op(self, a, b)
+            monkeypatch.setattr(RationalRing, name, counted)
+        p = Profile(s)
+        assert p.obstruction is None
+        assert p.reduction.reduced_length > 3
+        # the cubic scan needed C(200, 3), about 1.3M, Delta evaluations
+        assert len(ops) <= 10 * s.n
+
+
+class TestMaximalReductionReference:
+    @pytest.mark.parametrize("ring", [Q, Z, GF(2), GF(5), QT, QSqrt(2)], ids=repr)
+    def test_classes_match_pairwise_partition(self, ring):
+        rng = random.Random(20261020)
+        for _ in range(60):
+            base = [rand_mat(rng, ring, 3) for _ in range(rng.randint(1, 3))]
+            terms = [rng.choice(base).scale(rand_scalar(rng, ring, 3))
+                     + Mat2.identity(ring).scale(rand_scalar(rng, ring, 3))
+                     for _ in range(rng.randint(1, 8))]
+            s = MatSeq(terms)
+            info = maximal_reduction(s)
+            assert (info.kept_indices, info.classes) == _pairwise_reduction(s), s
