@@ -1,10 +1,16 @@
 """Brute-force ground truth over small prime fields.
 
-The oracle enumerates all of GL2(GF(p)) in a fixed row-major order and
-decides triangularizability and simultaneous similarity directly from the
-definitions, independently of the criteria modules.  The group has
-(p^2 - 1)(p^2 - p) elements; enumeration is guarded to p <= 13, and the
-``MATSEQ_MAX_P`` environment variable can lower (never raise) that bound.
+The oracle decides triangularizability and simultaneous similarity
+directly from the definitions, independently of the criteria modules: each
+scan returns the first conjugator of GL2(GF(p)) in row-major order of the
+entries (a, b, c, d), and every g it returns passes the full definitional
+test.  The scans visit only candidates the definitions leave possible: the
+triangularization test reads only row 2 of g, so it runs over p + 1 rows,
+and the first-row equations of g A = B g reject a first row or pin the
+second, so the similarity test runs over pinned candidates.
+``enumerate_gl2`` still lists the whole group, which has (p^2 - 1)(p^2 - p)
+elements.  Everything is guarded to p <= 13, and the ``MATSEQ_MAX_P``
+environment variable can lower (never raise) that bound.
 """
 
 from __future__ import annotations
@@ -43,20 +49,22 @@ class GroupTable:
     def group_elements(self) -> tuple[GroupElement, ...]:
         from .rings import GF
         ring = GF(self.p)
-        return tuple(
-            GroupElement(Mat2(Scalar(ring, a), Scalar(ring, b),
-                              Scalar(ring, c), Scalar(ring, d)))
-            for a, b, c, d in self.raw)
+        return tuple(_element(ring, g) for g in self.raw)
 
 
 _TABLE_CACHE: dict[int, GroupTable] = {}
 
 
-def enumerate_gl2(p: int) -> GroupTable:
-    """GL2(GF(p)) in row-major order of the entries (a, b, c, d)."""
+def _check_p(p: int) -> None:
+    """Raise ``TooLarge`` when GF(p) is beyond the oracle size guard."""
     guard = max_oracle_p()
     if p > guard:
         raise TooLarge(f"p = {p} exceeds the oracle size guard {guard}")
+
+
+def enumerate_gl2(p: int) -> GroupTable:
+    """GL2(GF(p)) in row-major order of the entries (a, b, c, d)."""
+    _check_p(p)
     table = _TABLE_CACHE.get(p)
     if table is not None:
         return table
@@ -79,6 +87,10 @@ def _raw_terms(s: MatSeq) -> list[tuple[int, int, int, int]]:
     return [(t.a.value, t.b.value, t.c.value, t.d.value) for t in s.terms]
 
 
+def _element(ring, g: tuple[int, int, int, int]) -> GroupElement:
+    return GroupElement(Mat2(*(Scalar(ring, x) for x in g)))
+
+
 def _conj_lower_left_zero(g, terms, p) -> bool:
     """Whether g A g^-1 is upper triangular for every term A."""
     x, y, z, w = g
@@ -91,43 +103,81 @@ def _conj_lower_left_zero(g, terms, p) -> bool:
 
 
 def brute_triangularizable(s: MatSeq) -> GroupElement | None:
-    """First g in enumeration order with conjugate(g, s) upper triangular."""
+    """First g in enumeration order with conjugate(g, s) upper triangular.
+
+    The test reads only row 2 of g and is homogeneous of degree 2 in it, so
+    it holds on whole projective lines.  The first g of a passing row (z, w)
+    is (0, 1, z, w) when z != 0 and (1, 0, 0, w) otherwise, and the first
+    passing row with z != 0 is (1, w) for the least passing w; hence only
+    the p + 1 rows (1, 0), ..., (1, p - 1), (0, 1) are tested.
+    """
     terms = _raw_terms(s)
-    table = enumerate_gl2(s.ring.p)
-    p = table.p
-    from .rings import GF
-    ring = GF(p)
-    for g in table.raw:
+    p = s.ring.p
+    _check_p(p)
+    for g in [(0, 1, 1, w) for w in range(p)] + [(1, 0, 0, 1)]:
         if _conj_lower_left_zero(g, terms, p):
-            return GroupElement(Mat2(Scalar(ring, g[0]), Scalar(ring, g[1]),
-                                     Scalar(ring, g[2]), Scalar(ring, g[3])))
+            return _element(s.ring, g)
     return None
 
 
+def _conjugates(g, t1, t2, p) -> bool:
+    """det(g) != 0 and g A adj(g) = det(g) B for every pair of terms."""
+    x, y, z, w = g
+    det = (x * w - y * z) % p
+    if not det:
+        return False
+    for (a, b, c, d), (a2, b2, c2, d2) in zip(t1, t2):
+        # g A adj(g) == det(g) B  avoids modular inversion
+        ra, rb = x * a + y * c, x * b + y * d
+        rc, rd = z * a + w * c, z * b + w * d
+        if ((ra * w - rb * z) % p != det * a2 % p
+                or (rb * x - ra * y) % p != det * b2 % p
+                or (rc * w - rd * z) % p != det * c2 % p
+                or (rd * x - rc * y) % p != det * d2 % p):
+            return False
+    return True
+
+
+def _second_rows(x: int, y: int, t1, t2, p):
+    """The rows (z, w) that row 1 (x, y) leaves possible, in order.
+
+    Row 1 of g A = B g reads (x, y) A - b11 (x, y) = b12 (z, w): a term with
+    b12 = 0 must make the left side vanish, and one with b12 != 0 fixes
+    (z, w).  With no fixing term every row remains.
+    """
+    pinned = None
+    for (a, b, c, d), (b11, b12, _, _) in zip(t1, t2):
+        u = ((x * a + y * c - b11 * x) % p, (x * b + y * d - b11 * y) % p)
+        if b12 == 0:
+            if u != (0, 0):
+                return ()
+            continue
+        inv = pow(b12, -1, p)
+        r2 = (u[0] * inv % p, u[1] * inv % p)
+        if pinned is None:
+            pinned = r2
+        elif r2 != pinned:
+            return ()
+    if pinned is not None:
+        return (pinned,)
+    return ((z, w) for z in range(p) for w in range(p))
+
+
 def brute_similar(s1: MatSeq, s2: MatSeq) -> GroupElement | None:
-    """First g in enumeration order with conjugate(g, s1) = s2."""
+    """First g in enumeration order with conjugate(g, s1) = s2.
+
+    First rows of g are visited in order; the first-row equations of
+    g A = B g either reject a first row or fix the second, so only those
+    candidates get the full test.
+    """
     if s1.ring != s2.ring or s1.n != s2.n:
         return None
     t1, t2 = _raw_terms(s1), _raw_terms(s2)
-    table = enumerate_gl2(s1.ring.p)
-    p = table.p
-    from .rings import GF
-    ring = GF(p)
-    for g in table.raw:
-        x, y, z, w = g
-        det = (x * w - y * z) % p
-        ok = True
-        for (a, b, c, d), (a2, b2, c2, d2) in zip(t1, t2):
-            # g A adj(g) == det(g) B  avoids modular inversion
-            ra, rb = x * a + y * c, x * b + y * d
-            rc, rd = z * a + w * c, z * b + w * d
-            if ((ra * w - rb * z) % p != det * a2 % p
-                    or (rb * x - ra * y) % p != det * b2 % p
-                    or (rc * w - rd * z) % p != det * c2 % p
-                    or (rd * x - rc * y) % p != det * d2 % p):
-                ok = False
-                break
-        if ok:
-            return GroupElement(Mat2(Scalar(ring, x), Scalar(ring, y),
-                                     Scalar(ring, z), Scalar(ring, w)))
+    p = s1.ring.p
+    _check_p(p)
+    for x in range(p):
+        for y in range(p):
+            for z, w in _second_rows(x, y, t1, t2, p):
+                if _conjugates((x, y, z, w), t1, t2, p):
+                    return _element(s1.ring, (x, y, z, w))
     return None

@@ -144,11 +144,18 @@ def _invertible_in_span(basis: list[Mat2]) -> Mat2 | None:
 
 
 def _first_noncommuting_pair(s: MatSeq) -> tuple[int, int] | None:
-    n = s.n
-    for j in range(n):
-        for k in range(j + 1, n):
-            if not commutes(s[j], s[k]):
-                return (j, k)
+    """The lexicographically first 0-based pair of terms that do not commute.
+
+    Scalar terms commute with everything, and the centralizer of a
+    non-scalar 2x2 matrix is commutative, so if every term commutes with the
+    first non-scalar term j, all pairs commute; one pass finds the pair.
+    """
+    j = next((i for i, t in enumerate(s.terms) if not t.is_scalar()), None)
+    if j is None:
+        return None
+    for k in range(j + 1, s.n):
+        if not commutes(s[j], s[k]):
+            return (j, k)
     return None
 
 

@@ -267,12 +267,18 @@ def singlet_triangularizable(m: Mat2) -> TriangularizationWitness | None:
     return TriangularizationWitness(g, MatSeq([t]))
 
 
+def _singlet_ok(m: Mat2) -> bool:
+    """Whether ``singlet_triangularizable(m)`` finds a witness, without
+    building it: over the supported fields and PIDs an eigenvector always
+    extends to an invertible matrix, so the eigenvalues decide."""
+    return m.is_upper_triangular() or eigenvalues_in_ring(m) is not None
+
+
 def pair_triangularizable(x: Mat2, y: Mat2) -> bool:
     """Both singlets triangularizable and sigma(x, y) = 0."""
     if not sigma_explicit(x, y).is_zero():
         return False
-    return (singlet_triangularizable(x) is not None
-            and singlet_triangularizable(y) is not None)
+    return _singlet_ok(x) and _singlet_ok(y)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +291,7 @@ def is_triangularizable(s: MatSeq | Profile) -> bool:
     p = Profile.of(s)
     if p.obstruction is not None:
         return False
-    return all(singlet_triangularizable(t) is not None for t in p.seq.terms)
+    return all(map(_singlet_ok, p.seq.terms))
 
 
 def is_triangularizable_fast(s: MatSeq | Profile) -> bool:
@@ -308,7 +314,7 @@ def is_triangularizable_fast(s: MatSeq | Profile) -> bool:
         for k in range(j + 1, l):
             if not sigma_explicit(kept[j], kept[k]).is_zero():
                 return False
-    return all(singlet_triangularizable(t) is not None for t in kept)
+    return all(map(_singlet_ok, kept))
 
 
 def triangularize(s: MatSeq | Profile) -> TriangularizationWitness | None:

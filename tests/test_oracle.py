@@ -1,11 +1,15 @@
 """Finite-field brute-force oracles and their agreement with the deciders."""
 
+import itertools
+import json
 import random
 
 import pytest
 
 from matseq import (
     GF,
+    Mat2,
+    MatSeq,
     Q,
     are_similar,
     brute_similar,
@@ -16,6 +20,8 @@ from matseq import (
     max_oracle_p,
     seq,
 )
+from matseq import oracle
+from matseq.cli import main
 from matseq.errors import TooLarge, UnsupportedRing
 
 from genseq import rand_group_element, rand_seq, rand_triangularizable_seq
@@ -109,3 +115,130 @@ class TestBruteSimilar:
         s1 = seq(GF(3), [[[1, 0], [0, 0]]])
         s2 = seq(GF(3), [[[2, 0], [0, 0]]])
         assert brute_similar(s1, s2) is None
+
+
+# ---------------------------------------------------------------------------
+# the pruned scans against exhaustive row-major scans of GL2(GF(p))
+
+
+def _raw(s):
+    return [(t.a.value, t.b.value, t.c.value, t.d.value) for t in s.terms]
+
+
+def _gl2(p):
+    """GL2(GF(p)) in row-major order of (a, b, c, d), with no table."""
+    return (g for g in itertools.product(range(p), repeat=4)
+            if (g[0] * g[3] - g[1] * g[2]) % p)
+
+
+def _exhaustive_tri(s):
+    p, terms = s.ring.p, _raw(s)
+    for x, y, z, w in _gl2(p):
+        if all(((z * a + w * c) * w - (z * b + w * d) * z) % p == 0
+               for a, b, c, d in terms):
+            return (x, y, z, w)
+    return None
+
+
+def _exhaustive_similar(s1, s2):
+    p, t1, t2 = s1.ring.p, _raw(s1), _raw(s2)
+    for x, y, z, w in _gl2(p):
+        det = x * w - y * z
+        if all(((x * a + y * c) * w - (x * b + y * d) * z - det * a2) % p == 0
+               and ((x * b + y * d) * x - (x * a + y * c) * y - det * b2) % p == 0
+               and ((z * a + w * c) * w - (z * b + w * d) * z - det * c2) % p == 0
+               and ((z * b + w * d) * x - (z * a + w * c) * y - det * d2) % p == 0
+               for (a, b, c, d), (a2, b2, c2, d2) in zip(t1, t2)):
+            return (x, y, z, w)
+    return None
+
+
+def _entries(g):
+    return None if g is None else (g.m.a.value, g.m.b.value, g.m.c.value, g.m.d.value)
+
+
+def _all_matrices(p):
+    return [Mat2(*(GF(p)(v) for v in e)) for e in itertools.product(range(p), repeat=4)]
+
+
+def _lower_seq(rng, ring, n):
+    """Random lower triangular terms: every b12 = 0."""
+    return MatSeq([Mat2(ring(rng.randrange(ring.p)), ring.zero(),
+                        ring(rng.randrange(ring.p)), ring(rng.randrange(ring.p)))
+                   for _ in range(n)])
+
+
+def _similar_cases(rng, p, count):
+    """(s1, s2) pairs over GF(p) of every kind the pruned scan branches on."""
+    ring = GF(p)
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        g = rand_group_element(rng, ring)
+        s = rand_seq(rng, ring, n)
+        lower = _lower_seq(rng, ring, n)
+        scalars = MatSeq([Mat2.identity(ring).scale(ring(rng.randrange(p)))
+                          for _ in range(n)])
+        yield s, conjugate(g, s)                      # conjugate pair
+        yield scalars, scalars                        # every row 2 stays free
+        yield conjugate(g.inverse(), lower), lower    # similar, every b12 = 0
+        yield s, lower                                # b12 = 0, mostly not similar
+        yield s, rand_seq(rng, ring, n)               # mostly not similar
+
+
+class TestExhaustiveAgreement:
+    def test_tri_gf3_pairs(self):
+        mats = _all_matrices(3)
+        for x in mats:
+            for y in mats:
+                s = MatSeq([x, y])
+                assert _entries(brute_triangularizable(s)) == _exhaustive_tri(s)
+
+    def test_tri_gf2_triples(self):
+        mats = _all_matrices(2)
+        for x, y, z in itertools.product(mats, repeat=3):
+            s = MatSeq([x, y, z])
+            assert _entries(brute_triangularizable(s)) == _exhaustive_tri(s)
+
+    @pytest.mark.parametrize("p,count", [(2, 40), (3, 40), (5, 25), (7, 12), (13, 3)])
+    def test_similar(self, p, count):
+        rng = random.Random(100 + p)
+        found = 0
+        for s1, s2 in _similar_cases(rng, p, count):
+            got = _entries(brute_similar(s1, s2))
+            assert got == _exhaustive_similar(s1, s2)
+            found += got is not None
+        assert found >= 3 * count
+
+
+class TestGuard:
+    @pytest.mark.parametrize("scan", ["tri", "similar"])
+    def test_gf17_refused(self, scan):
+        s = seq(GF(17), [[[1, 2], [3, 4]]])
+        with pytest.raises(TooLarge):
+            brute_triangularizable(s) if scan == "tri" else brute_similar(s, s)
+
+    @pytest.mark.parametrize("scan", ["tri", "similar"])
+    def test_env_lowers_guard(self, scan, monkeypatch):
+        monkeypatch.setenv("MATSEQ_MAX_P", "3")
+        s = seq(GF(5), [[[1, 2], [3, 4]]])
+        with pytest.raises(TooLarge):
+            brute_triangularizable(s) if scan == "tri" else brute_similar(s, s)
+        small = seq(GF(3), [[[1, 2], [0, 1]]])
+        assert (brute_triangularizable(small) if scan == "tri"
+                else brute_similar(small, small)) is not None
+
+
+class TestNoGroupTable:
+    @pytest.mark.parametrize("argv", [["tri", "A", "--method", "construct", "--verify"],
+                                      ["similar", "A", "A", "--verify"],
+                                      ["analyze", "A", "--verify"],
+                                      ["oracle", "tri", "A"],
+                                      ["oracle", "similar", "A", "A"]])
+    def test_verify_builds_no_group_table(self, argv, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"ring": {"kind": "GF", "p": 13},
+                                    "matrices": [[[1, 2], [3, 4]], [[0, 5], [7, 1]]]}))
+        monkeypatch.setattr(oracle, "_TABLE_CACHE", {})
+        assert main([str(path) if a == "A" else a for a in argv]) == 0
+        assert json.loads(capsys.readouterr().out)
+        assert oracle._TABLE_CACHE == {}

@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 from matseq import (
     GF,
     Mat2,
+    MatSeq,
     PhiVector,
     PsiValue,
     Q,
     QT,
     Z,
     are_similar,
+    commutes,
     conjugate,
     in_phi_domain,
     in_psi_domain,
@@ -36,12 +38,13 @@ from matseq.errors import (
     RingMismatch,
     UnsupportedRing,
 )
-from matseq.similarity import _intertwiner_nullspace
+from matseq.similarity import _first_noncommuting_pair, _intertwiner_nullspace
 
 from genseq import (
     eflip,
     rand_group_element,
     rand_mat,
+    rand_scalar,
     rand_seq,
     rand_triangularizable_seq,
     rand_upper_seq,
@@ -125,6 +128,50 @@ class TestAreSimilar:
                     break
             basis = _intertwiner_nullspace([(a, a), (b, b)], ring)
             assert len(basis) == 1  # only scalars fix both
+
+
+def _quadratic_first_noncommuting_pair(s):
+    """Reference: the first pair found by testing every pair in order."""
+    for j in range(s.n):
+        for k in range(j + 1, s.n):
+            if not commutes(s[j], s[k]):
+                return (j, k)
+    return None
+
+
+def _scalar_and_commuting_runs(rng, ring, n):
+    """Scalar terms, then polynomials y A + x I in one random A, with a
+    random term mixed in now and then."""
+    a = rand_mat(rng, ring)
+    terms = []
+    for i in range(n):
+        r = rng.random()
+        x, y = rand_scalar(rng, ring), rand_scalar(rng, ring)
+        if i < rng.randint(0, 3) or r < 0.2:
+            terms.append(Mat2.identity(ring).scale(x))
+        elif r < 0.85:
+            terms.append(a.scale(y) + Mat2.identity(ring).scale(x))
+        else:
+            terms.append(rand_mat(rng, ring))
+    return MatSeq(terms)
+
+
+class TestFirstNoncommutingPair:
+    @pytest.mark.parametrize("ring", [Q, Z, GF(3)], ids=["Q", "Z", "GF3"])
+    def test_matches_quadratic_scan(self, ring):
+        rng = random.Random(51)
+        for _ in range(400):
+            s = _scalar_and_commuting_runs(rng, ring, rng.randint(1, 9))
+            assert _first_noncommuting_pair(s) == _quadratic_first_noncommuting_pair(s)
+
+    def test_linear_number_of_commutation_tests(self, count_calls):
+        a = mat2(Q, [[1, 2], [3, 4]])
+        n = 40
+        s = MatSeq([Mat2.identity(Q).scale(Q(3))]
+                   + [a.scale(Q(k)) + Mat2.identity(Q).scale(Q(k * k)) for k in range(1, n)])
+        calls = count_calls(commutes)
+        assert are_similar(s, s) is not None
+        assert 0 < len(calls) <= n
 
 
 class TestTripleReduction:

@@ -175,6 +175,26 @@ class TestSinglet:
         assert t.is_upper_triangular()
         assert t.trace() == m.trace() and t.det() == m.det()
 
+    @pytest.mark.parametrize("ring", [Q, Z, GF(2), GF(3), GF(5), QSqrt(2), QT],
+                             ids=["Q", "Z", "GF2", "GF3", "GF5", "Qsqrt2", "Qt"])
+    def test_deciders_need_no_witness(self, ring, monkeypatch):
+        # the deciders test singlets through their eigenvalues alone; that
+        # must say "triangularizable" exactly when a witness exists
+        import matseq.triangular as tri
+
+        def refuse(m):
+            raise AssertionError("a decider built a singlet witness")
+
+        rng = random.Random(41)
+        for i in range(300):
+            m = rand_mat(rng, ring) if i % 2 else rand_triangularizable_seq(rng, ring, 1)[0]
+            want = singlet_triangularizable(m) is not None
+            with monkeypatch.context() as mp:
+                mp.setattr(tri, "singlet_triangularizable", refuse)
+                assert is_triangularizable(MatSeq([m])) == want
+                assert is_triangularizable_fast(MatSeq([m])) == want
+                assert pair_triangularizable(m, m) == want
+
 
 class TestPairAndSequenceDeciders:
     def test_obstructed_pair(self):
