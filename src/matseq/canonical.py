@@ -113,7 +113,7 @@ def classify(s: MatSeq | Profile) -> CanonicalTag:
     s = p.seq
     if not s.ring.is_field:
         raise UnsupportedRing("canonical forms are computed over fields")
-    if is_commutative(s):
+    if is_commutative(p):
         kept = p.reduction.kept_indices
         if not kept:
             return CanonicalTag.ALL_SCALAR
@@ -139,18 +139,24 @@ def classify(s: MatSeq | Profile) -> CanonicalTag:
 # basic normalizers
 
 
+def _roots(t: Scalar, disc: Scalar) -> tuple[Scalar, Scalar, RingDescriptor | None]:
+    """(t + r)/2 and (t - r)/2 for the canonical square root r of disc,
+    adjoining one quadratic extension if r needs it; returns (l1, l2, ext)."""
+    r, ext = sqrt_with_extension(disc)
+    if ext is not None:
+        t = embed(t, ext)
+    two = r.ring.scalar_from_int(2)
+    return (t + r) / two, (t - r) / two, ext
+
+
 def _eigen_with_extension(m: Mat2) -> tuple[Scalar, Scalar, RingDescriptor | None]:
     """Eigenvalues in canonical order, adjoining one quadratic extension if needed."""
-    ev = eigenvalues_in_ring(m)
-    if ev is not None:
-        return ev[0], ev[1], None
     if m.ring.characteristic() == 2:
-        raise UnsupportedRing("eigenvalues lie in an unrepresentable extension field")
-    r, ext = sqrt_with_extension(m.disc())
-    ring = ext if ext is not None else m.ring
-    t = embed(m.trace(), ring) if ext is not None else m.trace()
-    two = ring.scalar_from_int(2)
-    return (t + r) / two, (t - r) / two, ext
+        ev = eigenvalues_in_ring(m)
+        if ev is None:
+            raise UnsupportedRing("eigenvalues lie in an unrepresentable extension field")
+        return ev[0], ev[1], None
+    return _roots(m.trace(), m.disc())
 
 
 def _basis_change(v: tuple[Scalar, Scalar], w: tuple[Scalar, Scalar]) -> GroupElement:
@@ -192,13 +198,17 @@ def _jordanizer(a: Mat2) -> tuple[GroupElement, Scalar]:
     return g, lam
 
 
-def _unit_lower_scale(ring: RingDescriptor, b2: Scalar) -> GroupElement:
-    """diag(1, b2): conjugation divides the upper-right entries by b2."""
-    return GroupElement(Mat2(ring.one(), ring.zero(), ring.zero(), b2))
-
-
 def _lift(s: MatSeq, ext: RingDescriptor | None) -> MatSeq:
     return lift_seq(s, ext) if ext is not None else s
+
+
+def _unit_b2(tag: CanonicalTag, perm: tuple[int, ...], t: MatSeq, g1: GroupElement,
+             ext: RingDescriptor | None) -> CanonicalResult:
+    """The result for t = conjugate(g1, permuted input), after conjugating by
+    diag(1, b2), which divides the upper-right entries by b2 = t[1].b."""
+    ring = t.ring
+    g2 = GroupElement(Mat2(ring.one(), ring.zero(), ring.zero(), t[1].b))
+    return CanonicalResult(tag, perm, conjugate(g2, t), g2 * g1, ext)
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +237,9 @@ def _canon_stable_1a(p: Profile) -> CanonicalResult:
         j, k = k, j
     perm = _front_perm((j, k), s.n)
     t, g1, ext = _eigenbasis(s.permuted(perm))
-    b2 = t[1].b
-    if b2.is_zero() or t[1].c.is_zero():
+    if t[1].b.is_zero() or t[1].c.is_zero():
         raise InternalInconsistency("nonzero pair obstruction with a triangular second term")
-    g2 = _unit_lower_scale(t.ring, b2)
-    return CanonicalResult(CanonicalTag.STABLE_1A, perm, conjugate(g2, t), g2 * g1, ext)
+    return _unit_b2(CanonicalTag.STABLE_1A, perm, t, g1, ext)
 
 
 def _canon_stable_1b(p: Profile) -> CanonicalResult:
@@ -272,8 +280,7 @@ def _canon_stable_1c(p: Profile) -> CanonicalResult:
         raise InternalInconsistency("second term did not become strictly upper")
     if not t[2].b.is_zero() or t[2].c.is_zero():
         raise InternalInconsistency("third term is not strictly lower")
-    g2 = _unit_lower_scale(t.ring, t[1].b)
-    return CanonicalResult(CanonicalTag.STABLE_1C, perm, conjugate(g2, t), g2 * g1, ext)
+    return _unit_b2(CanonicalTag.STABLE_1C, perm, t, g1, ext)
 
 
 def _canon_triangular(p: Profile, tag: CanonicalTag) -> CanonicalResult:
@@ -289,11 +296,9 @@ def _canon_triangular(p: Profile, tag: CanonicalTag) -> CanonicalResult:
     t, g1, ext = _eigenbasis(s.permuted(perm), shared=s.n)
     if not all(m.is_upper_triangular() for m in t.terms):
         raise InternalInconsistency("sequence did not become upper triangular")
-    b2 = t[1].b
-    if b2.is_zero():
+    if t[1].b.is_zero():
         raise InternalInconsistency("second kept term commutes with the first")
-    g2 = _unit_lower_scale(t.ring, b2)
-    return CanonicalResult(tag, perm, conjugate(g2, t), g2 * g1, ext)
+    return _unit_b2(tag, perm, t, g1, ext)
 
 
 def canonicalize(s: MatSeq | Profile) -> CanonicalResult:
@@ -405,42 +410,26 @@ def dual_sequence(s: MatSeq) -> MatSeq:
 # reconstruction from invariant values
 
 
-def _solve_linear(rows: list[list[Scalar]], rhs: list[Scalar], ring: RingDescriptor) -> list[Scalar]:
-    """Solve a small square system over a field by Gaussian elimination."""
-    n = len(rows)
-    aug = [list(rows[i]) + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if not aug[i][col].is_zero()), None)
-        if piv is None:
-            raise InternalInconsistency("singular reconstruction system")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col].inverse()
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and not aug[i][col].is_zero():
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return [aug[i][n] for i in range(n)]
-
-
-def _leading_roots(ring: RingDescriptor, t1: Scalar, t11: Scalar):
+def _leading_roots(t1: Scalar, t11: Scalar) -> tuple[Scalar, Scalar, RingDescriptor | None]:
     """Roots of x^2 - t1 x + (t1^2 - t11)/2, with one extension if needed."""
-    two = ring.scalar_from_int(2)
-    disc = two * t11 - t1 * t1
+    disc = t1.ring.scalar_from_int(2) * t11 - t1 * t1
     if disc.is_zero():
         raise DegenerateDiscriminant("equal eigenvalues for the leading term")
-    r, ext = sqrt_with_extension(disc)
-    if ext is not None:
-        t1 = embed(t1, ext)
-        ring = ext
-        two = ring.scalar_from_int(2)
-    a1 = (t1 + r) / two
-    d1 = (t1 - r) / two
-    return ring, ext, a1, d1
+    return _roots(t1, disc)
+
+
+def _diagonal(a1: Scalar, d1: Scalar, t: Scalar, t1: Scalar) -> tuple[Scalar, Scalar]:
+    """(a, d) with a + d = t and a1 a + d1 d = t1, for a1 != d1."""
+    return (d1 * t - t1) / (d1 - a1), (t1 - a1 * t) / (d1 - a1)
 
 
 def reconstruct_semisimple(v: PhiVector) -> MatSeq:
-    """The canonical-form sequence whose semisimple invariant vector is v."""
+    """The canonical-form sequence whose semisimple invariant vector is v.
+
+    The first pair is diag(a1, d1) and [[a2, 1], [c2, d2]].  For k >= 3 the
+    traces tk, t1k fix (ak, dk); then t2k = a2 ak + d2 dk + c2 bk + ck and
+    s12k = e1 (ck - c2 bk) with e1 = a1 - d1 != 0 fix bk and ck.
+    """
     ring = v.ring
     if not ring.is_field:
         raise UnsupportedRing("reconstruction needs a field; lift the vector first")
@@ -450,29 +439,23 @@ def reconstruct_semisimple(v: PhiVector) -> MatSeq:
         raise LengthTooShort("reconstruction needs n >= 2")
     if len(v.values) != 4 * v.n - 3:
         raise LengthMismatch(f"expected {4 * v.n - 3} values, got {len(v.values)}")
-    t1, t11, t2, t22, t12 = v.values[:5]
-    ring, ext, a1, d1 = _leading_roots(ring, t1, t11)
-    if ext is not None:
-        t2, t22, t12 = (embed(x, ring) for x in (t2, t22, t12))
+    a1, d1, _ = _leading_roots(*v.values[:2])
+    ring = a1.ring
+    t2, t22, t12, *rest = (embed(x, ring) for x in v.values[2:])
     two = ring.scalar_from_int(2)
     e1 = a1 - d1
-    a2 = (d1 * t2 - t12) / (d1 - a1)
-    d2 = (t12 - a1 * t2) / (d1 - a1)
+    a2, d2 = _diagonal(a1, d1, t2, t12)
     c2 = (t22 - a2 * a2 - d2 * d2) / two
     if c2.is_zero():
         raise ZeroC2("the reconstructed pair would have vanishing pair obstruction")
     zero, one = ring.zero(), ring.one()
     terms = [Mat2(a1, zero, zero, d1), Mat2(a2, one, c2, d2)]
-    for k in range(3, v.n + 1):
-        tk, t1k, t2k, s12k = v.values[5 + 4 * (k - 3): 9 + 4 * (k - 3)]
-        if ext is not None:
-            tk, t1k, t2k, s12k = (embed(x, ring) for x in (tk, t1k, t2k, s12k))
-        rows = [[one, zero, zero, one],
-                [a1, zero, zero, d1],
-                [a2, c2, one, d2],
-                [zero, -e1 * c2, e1, zero]]
-        ak, bk, ck, dk = _solve_linear(rows, [tk, t1k, t2k, s12k], ring)
-        terms.append(Mat2(ak, bk, ck, dk))
+    for i in range(0, len(rest), 4):
+        tk, t1k, t2k, s12k = rest[i:i + 4]
+        ak, dk = _diagonal(a1, d1, tk, t1k)
+        u = t2k - a2 * ak - d2 * dk
+        w = s12k / e1
+        terms.append(Mat2(ak, (u - w) / (two * c2), (u + w) / two, dk))
     return MatSeq(terms)
 
 
@@ -492,18 +475,15 @@ def reconstruct_triangular(w: PsiValue) -> tuple[MatSeq, MatSeq]:
                             "reconstruction domain (first pair commutes)")
     if len(w.proj) != w.n - 1 or w.proj[0] != ring.one():
         raise NotApplicable("proj must have length n-1 and leading coordinate 1")
-    t1, t11 = w.traces[0], w.traces[1]
-    ring, ext, a1, d1 = _leading_roots(ring, t1, t11)
+    a1, d1, _ = _leading_roots(w.traces[0], w.traces[1])
+    ring = a1.ring
     zero = ring.zero()
     primary = [Mat2(a1, zero, zero, d1)]
     flipped = [Mat2(d1, zero, zero, a1)]
     for k in range(2, w.n + 1):
-        tk, t1k = w.traces[2 * k - 2], w.traces[2 * k - 1]
-        bk = w.proj[k - 2]
-        if ext is not None:
-            tk, t1k, bk = embed(tk, ring), embed(t1k, ring), embed(bk, ring)
-        ak = (d1 * tk - t1k) / (d1 - a1)
-        dk = (t1k - a1 * tk) / (d1 - a1)
+        tk, t1k = (embed(x, ring) for x in w.traces[2 * k - 2:2 * k])
+        bk = embed(w.proj[k - 2], ring)
+        ak, dk = _diagonal(a1, d1, tk, t1k)
         primary.append(Mat2(ak, bk, zero, dk))
         flipped.append(Mat2(dk, bk, zero, ak))
     return MatSeq(primary), MatSeq(flipped)

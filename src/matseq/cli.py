@@ -74,7 +74,7 @@ def _cmd_analyze(obj, verify: bool):
     out = {
         "ring": ring_to_json(s.ring),
         "n": s.n,
-        "commutative": is_commutative(s),
+        "commutative": is_commutative(p),
         "all_scalar": s.all_scalar(),
         "reduced_length": red.reduced_length,
         "kept_indices": list(red.kept_indices),
@@ -130,7 +130,7 @@ def _cmd_classify(obj):
         "stable": is_stable(p),
         "semisimple": is_semisimple(p),
         "triangularizable": is_triangularizable(p),
-        "commutative": is_commutative(s),
+        "commutative": is_commutative(p),
         "reduced_length": p.reduction.reduced_length,
     }
 

@@ -109,6 +109,7 @@ def _sqrt_mod(a: int, p: int) -> int | None:
 
 
 _TRIAL_BOUND = 10**6
+_SQUAREFREE_MAX_BITS = 1024
 
 
 def squarefree_part(x: Fraction) -> int:
@@ -116,13 +117,18 @@ def squarefree_part(x: Fraction) -> int:
 
     Trial division by factors up to _TRIAL_BOUND.  The cofactor left over is
     accepted when it is 1, a perfect square, below _TRIAL_BOUND**2 or a proven
-    prime; any other cofactor raises TooLarge rather than factor it.
+    prime; any other cofactor raises TooLarge rather than factor it, and so
+    does a numerator times denominator longer than _SQUAREFREE_MAX_BITS,
+    before any division: that bounds the work by the bit length.
     """
     if x == 0:
         raise ValueError("squarefree_part of zero is undefined")
     n = x.numerator * x.denominator
     sign = -1 if n < 0 else 1
     n = abs(n)
+    if n.bit_length() > _SQUAREFREE_MAX_BITS:
+        raise TooLarge(f"squarefree part of a {n.bit_length()}-bit number: more than "
+                       f"{_SQUAREFREE_MAX_BITS} bits")
     d = 1
     f = 2
     while f * f <= n and f <= _TRIAL_BOUND:
@@ -139,8 +145,8 @@ def squarefree_part(x: Fraction) -> int:
         if r * r == n:
             n = 1
         elif n >= _MR_BOUND or not _is_prime(n):
-            raise TooLarge(f"squarefree part of {x}: cofactor {n} has no factor "
-                           f"below {_TRIAL_BOUND} and is not a proven prime")
+            raise TooLarge(f"squarefree part: a {n.bit_length()}-bit cofactor has no "
+                           f"factor below {_TRIAL_BOUND} and is not a proven prime")
     return sign * d * n
 
 

@@ -238,7 +238,7 @@ def is_semisimple(s: MatSeq | Profile) -> bool:
         raise UnsupportedRing("semisimplicity is a field notion; lift to the fraction field")
     if is_stable(p):
         return True
-    if not is_commutative(p.seq):
+    if not is_commutative(p):
         return False
     kept = p.reduction.kept_indices
     return not kept or not p.seq.term(kept[0]).disc().is_zero()
@@ -334,9 +334,10 @@ def in_phi_domain(s: MatSeq) -> bool:
 def psi_prime(s: MatSeq) -> PsiValue:
     """The separating value for triangularizable non-commutative sequences."""
     _require_phi_input(s, "psi_prime")
-    if is_commutative(s):
+    p = Profile(s)
+    if is_commutative(p):
         raise CommutativeInput("psi_prime needs a non-commutative sequence")
-    w = triangularize(s)
+    w = triangularize(p)
     if w is None:
         raise NotTriangularizable("psi_prime needs a triangularizable sequence")
     tri = w.triangular
@@ -364,6 +365,7 @@ def in_psi_domain(s: MatSeq) -> bool:
     non-commutative, first pair non-commuting."""
     if s.n < 2 or s.ring.characteristic() == 2:
         return False
-    if is_commutative(s) or commutes(s[0], s[1]):
+    p = Profile(s)
+    if is_commutative(p) or commutes(s[0], s[1]):
         return False
-    return triangularize(s) is not None
+    return triangularize(p) is not None

@@ -26,7 +26,7 @@ from functools import cached_property
 
 from .errors import ExactDivisionError, InternalInconsistency
 from .invariants import sigma_explicit
-from .matcore import GroupElement, Mat2, MatSeq, conjugate, conjugate_mat
+from .matcore import GroupElement, Mat2, MatSeq, conjugate
 from .rings import Scalar, bezout, primitive_vector, sqrt_in_ring
 
 
@@ -94,13 +94,6 @@ def _det_against(ring, m: tuple, w: tuple):
 def commutes(x: Mat2, y: Mat2) -> bool:
     """xy = yx, tested via the entry-vector minors (no matrix products)."""
     return _vanish(x.ring, _minors(x.ring, _vector(x), _vector(y)))
-
-
-def is_commutative(s: MatSeq) -> bool:
-    """Every pair of terms commutes."""
-    ring = s.ring
-    vecs = [v for v in map(_vector, s.terms) if not _vanish(ring, v)]
-    return all(_vanish(ring, _minors(ring, vecs[0], v)) for v in vecs[1:])
 
 
 def maximal_reduction(s: MatSeq) -> ReductionInfo:
@@ -181,6 +174,11 @@ class Profile:
         return first_obstruction(self.seq)
 
 
+def is_commutative(s: MatSeq | Profile) -> bool:
+    """Every pair of terms commutes: the maximal reduction keeps at most one."""
+    return Profile.of(s).reduction.reduced_length <= 1
+
+
 # ---------------------------------------------------------------------------
 # single matrices
 
@@ -250,21 +248,7 @@ def singlet_triangularizable(m: Mat2) -> TriangularizationWitness | None:
     ring, and an eigenvector that extends to an invertible matrix (automatic
     over fields and the Euclidean rings supported here).
     """
-    if m.is_upper_triangular():
-        return TriangularizationWitness(GroupElement.identity(m.ring), MatSeq([m]))
-    ev = eigenvalues_in_ring(m)
-    if ev is None:
-        return None
-    vec = eigenvector_for(m, ev[0])
-    if vec is None:
-        # scalar matrix, already upper triangular (handled above)
-        raise InternalInconsistency("non-triangular scalar matrix")
-    vec = primitive_vector(vec)
-    g = complete_unimodular(vec).inverse()
-    t = conjugate_mat(g, m)
-    if not t.c.is_zero():
-        raise InternalInconsistency("eigenvector did not triangularize")
-    return TriangularizationWitness(g, MatSeq([t]))
+    return triangularize(MatSeq([m]))
 
 
 def _singlet_ok(m: Mat2) -> bool:

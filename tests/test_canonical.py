@@ -31,10 +31,13 @@ from matseq import (
     reconstruct_triangular,
     seq,
     sigma,
+    sqrt_with_extension,
 )
 from matseq.errors import (
     Char2Unsupported,
     DegenerateDiscriminant,
+    InternalInconsistency,
+    MatseqError,
     NotApplicable,
     NotCanonical1a,
     NotCommutative,
@@ -42,7 +45,7 @@ from matseq.errors import (
     ZeroC2,
 )
 
-from genseq import rand_admissible_phi, rand_group_element, rand_seq
+from genseq import rand_admissible_phi, rand_group_element, rand_scalar, rand_seq
 
 OBSTRUCTED_TRIPLE = [[[1, 0], [0, 0]], [[1, 1], [0, 0]], [[0, 0], [1, 1]]]
 
@@ -257,7 +260,77 @@ class TestDualSequence:
             dual_sequence(seq(Q, [[[1, 0], [0, 0]], [[0, 2], [1, 0]]]))
 
 
+def _solve_linear(rows, rhs):
+    """Gauss-Jordan elimination over a field: the general solver that
+    reconstruction used before its closed form, kept as a reference."""
+    n = len(rows)
+    aug = [list(rows[i]) + [rhs[i]] for i in range(n)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if not aug[i][col].is_zero()), None)
+        if piv is None:
+            raise InternalInconsistency("singular reconstruction system")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = aug[col][col].inverse()
+        aug[col] = [x * inv for x in aug[col]]
+        for i in range(n):
+            if i != col and not aug[i][col].is_zero():
+                f = aug[i][col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
+    return [aug[i][n] for i in range(n)]
+
+
+def _reference_reconstruct(v):
+    """reconstruct_semisimple for odd characteristic and a well-formed v,
+    with (a2, d2) and every later term solved from its linear trace system."""
+    two = v.ring.scalar_from_int(2)
+    disc = two * v.values[1] - v.values[0] * v.values[0]
+    if disc.is_zero():
+        raise DegenerateDiscriminant("equal eigenvalues for the leading term")
+    r, ext = sqrt_with_extension(disc)
+    ring = v.ring if ext is None else ext
+    vals = [embed(x, ring) for x in v.values]
+    t1, t11, t2, t22, t12 = vals[:5]
+    two, zero, one = ring.scalar_from_int(2), ring.zero(), ring.one()
+    a1, d1 = (t1 + r) / two, (t1 - r) / two
+    e1 = a1 - d1
+    a2, d2 = _solve_linear([[one, one], [a1, d1]], [t2, t12])
+    c2 = (t22 - a2 * a2 - d2 * d2) / two
+    if c2.is_zero():
+        raise ZeroC2("the reconstructed pair would have vanishing pair obstruction")
+    terms = [Mat2(a1, zero, zero, d1), Mat2(a2, one, c2, d2)]
+    rows = [[one, zero, zero, one],
+            [a1, zero, zero, d1],
+            [a2, c2, one, d2],
+            [zero, -e1 * c2, e1, zero]]
+    for i in range(5, len(vals), 4):
+        ak, bk, ck, dk = _solve_linear(rows, vals[i:i + 4])
+        terms.append(Mat2(ak, bk, ck, dk))
+    return terms
+
+
 class TestReconstructSemisimple:
+    @pytest.mark.parametrize("ring", [Q, GF(5), GF(13), QSqrt(2), QSqrt(-3)], ids=repr)
+    def test_matches_linear_solve(self, ring):
+        # half random vectors, half invariant vectors of random sequences
+        rng = random.Random(7)
+        outcomes = set()
+        for i in range(240):
+            n = rng.randint(2, 5)
+            if i % 2:
+                v = phi_prime(rand_seq(rng, ring, n, 3))
+            else:
+                v = PhiVector(ring, n, tuple(rand_scalar(rng, ring, 3) for _ in range(4 * n - 3)))
+            try:
+                want = _reference_reconstruct(v)
+            except MatseqError as exc:
+                with pytest.raises(type(exc)):
+                    reconstruct_semisimple(v)
+                outcomes.add(type(exc).__name__)
+                continue
+            assert reconstruct_semisimple(v).terms == tuple(want), v
+            outcomes.add("solved")
+        assert "solved" in outcomes
+
     def test_worked_vector(self):
         v = PhiVector(Q, 2, (Q(2), Q(4), Q(1), Q(7), Q(2)))
         s = reconstruct_semisimple(v)

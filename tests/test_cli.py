@@ -107,6 +107,20 @@ class TestTri:
         assert r.returncode == 3, r.stderr
         assert r.stderr.startswith("matseq:") and "Traceback" not in r.stderr
 
+    def test_huge_discriminant_refused_quickly(self, tmp_path):
+        # a 2,000-digit denominator: squarefree_part refuses by bit length
+        # before trial division, and the message does not print the number
+        doc = {"ring": {"kind": "Q"},
+               "matrices": [[["1/" + "9" * 2000, "1"], ["3", "2"]], [["1", "2"], ["3", "4"]]]}
+        f = write(tmp_path, "s.json", doc)
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(matseq.__file__)))
+        r = subprocess.run([sys.executable, "-m", "matseq.cli", "canon", f],
+                           env=env, capture_output=True, text=True, timeout=2)
+        assert r.returncode == 3, r.stderr
+        assert r.stderr.startswith("matseq:") and "Traceback" not in r.stderr
+        assert len(r.stderr) < 200
+
 
 class TestSimilar:
     def test_similar_pair(self, tmp_path, capsys):

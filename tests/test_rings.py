@@ -252,6 +252,7 @@ class TestSquarefreePart:
     @pytest.mark.parametrize("n,expected", [
         ((2 ** 61 - 1) * 12, (2 ** 61 - 1) * 3),      # proven prime cofactor
         (-5 * (2 ** 61 - 1) ** 2, -5),                # square cofactor
+        pytest.param(2 ** 1023, 2, id="2^1023"),      # 1,024 bits, the most accepted
     ])
     def test_large_cofactor_accepted(self, n, expected):
         assert squarefree_part(Fraction(n)) == expected
@@ -259,6 +260,7 @@ class TestSquarefreePart:
     @pytest.mark.parametrize("n", [
         (2 ** 61 - 1) * (2 ** 31 - 1),                # composite, both factors large
         (2 ** 89 - 1) * 4,                            # beyond the proven primality bound
+        pytest.param(Fraction(1, 2 ** 1024), id="1/2^1024"),  # over 1,024 bits
     ])
     def test_unfactorable_cofactor_refused(self, n):
         with pytest.raises(TooLarge):

@@ -1,6 +1,7 @@
 """Reduction, eigen helpers, and the triangularizability deciders."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -166,7 +167,7 @@ class TestSinglet:
     @settings(max_examples=60)
     def test_witness_is_always_valid(self, seed_value):
         rng = random.Random(seed_value)
-        ring = rng.choice([Z, Q, GF(3), GF(5)])
+        ring = rng.choice([Z, Q, GF(2), GF(3), GF(5), QSqrt(2), QT])
         m = rand_mat(rng, ring)
         w = singlet_triangularizable(m)
         if w is None:
@@ -174,6 +175,7 @@ class TestSinglet:
         t = w.triangular.term(1)
         assert t.is_upper_triangular()
         assert t.trace() == m.trace() and t.det() == m.det()
+        assert conjugate(w.g, MatSeq([m])).terms == w.triangular.terms
 
     @pytest.mark.parametrize("ring", [Q, Z, GF(2), GF(3), GF(5), QSqrt(2), QT],
                              ids=["Q", "Z", "GF2", "GF3", "GF5", "Qsqrt2", "Qt"])
@@ -472,3 +474,10 @@ class TestMaximalReductionReference:
             s = MatSeq(terms)
             info = maximal_reduction(s)
             assert (info.kept_indices, info.classes) == _pairwise_reduction(s), s
+            scalar = MatSeq(Mat2.identity(ring).scale(rand_scalar(rng, ring, 3)) for _ in terms)
+            one_class = MatSeq(base[0].scale(rand_scalar(rng, ring, 3))
+                               + Mat2.identity(ring).scale(rand_scalar(rng, ring, 3))
+                               for _ in terms)
+            for u in (s, scalar, one_class):
+                want = all(commutes(x, y) for x, y in combinations(u.terms, 2))
+                assert is_commutative(u) == is_commutative(Profile(u)) == want, u
