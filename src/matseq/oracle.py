@@ -6,8 +6,9 @@ scan returns the first conjugator of GL2(GF(p)) in row-major order of the
 entries (a, b, c, d), and every g it returns passes the full definitional
 test.  The scans visit only candidates the definitions leave possible: the
 triangularization test reads only row 2 of g, so it runs over p + 1 rows,
-and the first-row equations of g A = B g reject a first row or pin the
-second, so the similarity test runs over pinned candidates.
+and the equations of g A = B g reject a first row or pin the second to a
+point or a line (every row only when both sequences are the same scalars),
+so the similarity test runs over pinned candidates.
 ``enumerate_gl2`` still lists the whole group, which has (p^2 - 1)(p^2 - p)
 elements.  Everything is guarded to p <= 13, and the ``MATSEQ_MAX_P``
 environment variable can lower (never raise) that bound.
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from itertools import product
 
 from .errors import TooLarge, UnsupportedRing
 from .matcore import GroupElement, Mat2, MatSeq
@@ -143,7 +145,9 @@ def _second_rows(x: int, y: int, t1, t2, p):
 
     Row 1 of g A = B g reads (x, y) A - b11 (x, y) = b12 (z, w): a term with
     b12 = 0 must make the left side vanish, and one with b12 != 0 fixes
-    (z, w).  With no fixing term every row remains.
+    (z, w).  With no fixing term, row 2, (z, w) (A - b22 I) = b21 (x, y),
+    gives two linear equations in (z, w) per term, and only the rows that
+    satisfy them all remain.
     """
     pinned = None
     for (a, b, c, d), (b11, b12, _, _) in zip(t1, t2):
@@ -160,14 +164,20 @@ def _second_rows(x: int, y: int, t1, t2, p):
             return ()
     if pinned is not None:
         return (pinned,)
-    return ((z, w) for z in range(p) for w in range(p))
+    eqs = []
+    for (a, b, c, d), (_, _, b21, b22) in zip(t1, t2):
+        eqs.append(((a - b22) % p, c, b21 * x % p))
+        eqs.append((b, (d - b22) % p, b21 * y % p))
+    return ((z, w) for z, w in product(range(p), repeat=2)
+            if all((al * z + be * w - ga) % p == 0 for al, be, ga in eqs))
 
 
 def brute_similar(s1: MatSeq, s2: MatSeq) -> GroupElement | None:
     """First g in enumeration order with conjugate(g, s1) = s2.
 
-    First rows of g are visited in order; the first-row equations of
-    g A = B g either reject a first row or fix the second, so only those
+    First rows of g are visited in order, except the zero row, which no
+    invertible g has.  The equations of g A = B g reject a first row or
+    confine the second to the solutions of linear equations, so only those
     candidates get the full test.
     """
     if s1.ring != s2.ring or s1.n != s2.n:
@@ -177,6 +187,8 @@ def brute_similar(s1: MatSeq, s2: MatSeq) -> GroupElement | None:
     _check_p(p)
     for x in range(p):
         for y in range(p):
+            if not (x or y):
+                continue
             for z, w in _second_rows(x, y, t1, t2, p):
                 if _conjugates((x, y, z, w), t1, t2, p):
                     return _element(s1.ring, (x, y, z, w))

@@ -1,11 +1,15 @@
 """Simultaneous similarity, stability, and the separating invariants.
 
 ``are_similar`` decides whether two equal-length sequences are conjugate.
-The anchor terms (one non-scalar term in the commutative case, one
-non-commuting pair otherwise) determine the conjugator up to the structure
-of their commutant, so the procedure solves the linear intertwiner system
-g A = B g for the anchors, picks an invertible solution if one exists, and
-verifies the remaining terms by cross-multiplication.  Over Z and Q[t] the
+Conjugation keeps the trace and determinant of every term, so a mismatch
+there decides at once.  Otherwise the first non-scalar term A1 of s1 and
+its partner B1 in s2 fix the conjugator up to the centralizer of A1: the
+intertwiners g A1 = B1 g form the plane spanned by g0 and g0 A1, where g0
+maps the cyclic basis of A1 to that of B1.  When s1 is commutative every
+term commutes with that centralizer, so g0 decides.  Otherwise the first
+term A2 that does not commute with A1 cuts the plane down to at most one
+line, with partner B2.  The candidate, the primitive point of g0 or of
+that line, is verified on every term: g A = B g.  Over Z and Q[t] the
 decision is taken in the fraction field; the returned witness then is a
 matrix with nonzero (possibly non-unit) determinant whose projective action
 realizes the similarity.
@@ -31,8 +35,15 @@ from .errors import (
 )
 from .invariants import drensky_s, trace_word
 from .matcore import GroupElement, Mat2, MatSeq, subsequence
-from .rings import RingDescriptor, Scalar, ring_from_json, ring_to_json, scalar_from_json
-from .triangular import Profile, commutes, is_commutative, maximal_reduction, triangularize
+from .rings import (
+    RingDescriptor,
+    Scalar,
+    primitive_vector,
+    ring_from_json,
+    ring_to_json,
+    scalar_from_json,
+)
+from .triangular import Profile, commutes, is_commutative, triangularize
 
 
 @dataclass(frozen=True)
@@ -65,81 +76,6 @@ class SimilarityWitness:
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra on 4-column systems over any of the five rings
-
-
-def _nullspace4(rows: list[list], ring: RingDescriptor) -> list[tuple]:
-    """Basis of the nullspace of a matrix with 4 columns of raw values,
-    fraction-free, each row and basis vector kept primitive."""
-    is_zero, mul, sub, primitive = ring.is_zero, ring.mul, ring.sub, ring.primitive
-    m = [primitive(r) for r in rows if not all(map(is_zero, r))]
-    pivots: list[int] = []
-    r = 0
-    for col in range(4):
-        piv = None
-        for i in range(r, len(m)):
-            if not is_zero(m[i][col]):
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(len(m)):
-            if i != r and not is_zero(m[i][col]):
-                f1, f2 = m[r][col], m[i][col]
-                m[i] = primitive([sub(mul(f1, m[i][j]), mul(f2, m[r][j])) for j in range(4)])
-        pivots.append(col)
-        r += 1
-        if r == len(m):
-            break
-    basis = []
-    prod = ring.raw_one()
-    for i, col in enumerate(pivots):
-        prod = mul(prod, m[i][col])
-    for f in range(4):
-        if f in pivots:
-            continue
-        vec = [ring.raw_zero()] * 4
-        vec[f] = prod
-        for i, col in enumerate(pivots):
-            vec[col] = ring.neg(mul(m[i][f], ring.div(prod, m[i][col])))
-        basis.append(primitive(vec))
-    return basis
-
-
-def _intertwiner_nullspace(pairs: list[tuple[Mat2, Mat2]], ring: RingDescriptor) -> list[Mat2]:
-    """Basis of {g : g A = B g for every anchor pair (A, B)}."""
-    rows: list[list] = []
-    z = ring.zero()
-    for a, b in pairs:
-        # unknowns (g11, g12, g21, g22); gA - Bg = 0 entrywise
-        for row in ([a.a - b.a, a.c, -b.b, z],
-                    [a.b, a.d - b.a, z, -b.b],
-                    [-b.c, z, a.a - b.d, a.c],
-                    [z, -b.c, a.b, a.d - b.d]):
-            rows.append([x.value for x in row])
-    return [Mat2(*(Scalar(ring, x) for x in v)) for v in _nullspace4(rows, ring)]
-
-
-def _invertible_in_span(basis: list[Mat2]) -> Mat2 | None:
-    """An invertible element of the span, or None when every element is singular.
-
-    det is a quadratic form on the span; its coefficients are recovered from
-    the values on basis vectors and pairwise sums, so if all those vanish the
-    form is identically zero and no invertible combination exists.
-    """
-    for m in basis:
-        if not m.det().is_zero():
-            return m
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            m = basis[i] + basis[j]
-            if not m.det().is_zero():
-                return m
-    return None
-
-
-# ---------------------------------------------------------------------------
 # similarity
 
 
@@ -159,39 +95,96 @@ def _first_noncommuting_pair(s: MatSeq) -> tuple[int, int] | None:
     return None
 
 
+def _cyclic_basis(x: Mat2) -> Mat2:
+    """P = [v | x v] for the first of e1, e2, e1 + e2 that is cyclic for the
+    non-scalar x, so P^-1 x P is the companion matrix of x."""
+    one, zero = x.ring.one(), x.ring.zero()
+    if not x.c.is_zero():
+        return Mat2(one, x.a, zero, x.c)
+    if not x.b.is_zero():
+        return Mat2(zero, x.b, one, x.d)
+    return Mat2(one, x.a, one, x.d)
+
+
+def _anchor_intertwiner(a1: Mat2, b1: Mat2) -> Mat2 | None:
+    """An invertible g0 with g0 a1 = b1 g0, or None when there is none.
+
+    a1 is not scalar and b1 has the trace and determinant of a1.  A scalar
+    b1 is then no conjugate of a1.  Otherwise both are cyclic with one
+    characteristic polynomial, so g0 = P(b1) adj(P(a1)) will do, and the
+    solutions of g a1 = b1 g are the g0 h with h in the centralizer of a1,
+    the x g0 + y g0 a1.
+    """
+    if b1.is_scalar():
+        return None
+    return _cyclic_basis(b1) * _cyclic_basis(a1).adjugate()
+
+
+def _pair_intertwiner(a1: Mat2, a2: Mat2, b1: Mat2, b2: Mat2) -> Mat2 | None:
+    """The primitive g with g a1 = b1 g and g a2 = b2 g, or None.
+
+    a1 and b1 are as for :func:`_anchor_intertwiner`, and a2 does not
+    commute with a1, so g a2 = b2 g holds on at most a line of the
+    x g0 + y g0 a1: with u = g0 a2 - b2 g0 and v = g0 a1 a2 - b2 g0 a1, the
+    line is spanned by v_i g0 - u_i g0 a1 for the first entry i with
+    (u_i, v_i) != 0.  When there is no line the result fails g a2 = b2 g,
+    and the caller's check of every term rejects it.
+    """
+    g0 = _anchor_intertwiner(a1, b1)
+    if g0 is None:
+        return None
+    g1 = g0 * a1
+    ui, vi = next((x, y) for x, y in zip((g0 * a2 - b2 * g0).entries(),
+                                         (g1 * a2 - b2 * g1).entries())
+                  if not (x.is_zero() and y.is_zero()))
+    g = g0.scale(vi) - g1.scale(ui)
+    if g.det().is_zero():
+        return None
+    return _primitive(g)
+
+
+def _primitive(m: Mat2) -> Mat2:
+    """The primitive point of the line through m."""
+    return Mat2(*primitive_vector(m.entries()))
+
+
 def are_similar(s1: MatSeq, s2: MatSeq) -> SimilarityWitness | None:
     """A conjugator mapping s1 to s2, or None.
 
     Over Z and Q[t] similarity is decided in the fraction field; the witness
     may then have a non-unit determinant (see :class:`SimilarityWitness`).
+    The witness is a primitive point (``ring.primitive``): for a
+    non-commutative s1 that of the one line of intertwiners, for a
+    commutative one that of g0 (see :func:`_anchor_intertwiner`).
     """
     if s1.ring != s2.ring:
         raise RingMismatch(f"{s1.ring!r} vs {s2.ring!r}")
     if s1.n != s2.n:
         raise LengthMismatch(f"lengths {s1.n} and {s2.n}")
     ring = s1.ring
+    for a, b in zip(s1.terms, s2.terms):
+        if a.trace() != b.trace() or a.det() != b.det():
+            return None
 
     pair = _first_noncommuting_pair(s1)
-    if pair is None:
-        kept = maximal_reduction(s1).kept_indices
-        if not kept:
-            # scalar sequences are similar exactly when equal
-            if s1 == s2:
-                return SimilarityWitness(Mat2.identity(ring))
-            return None
-        anchors = [(s1.term(kept[0]), s2.term(kept[0]))]
-    else:
+    if pair is not None:
         j, k = pair
-        anchors = [(s1[j], s2[j]), (s1[k], s2[k])]
-
-    basis = _intertwiner_nullspace(anchors, ring)
-    m = _invertible_in_span(basis)
+        m = _pair_intertwiner(s1[j], s1[k], s2[j], s2[k])
+    else:
+        j = next((i for i, t in enumerate(s1.terms) if not t.is_scalar()), None)
+        if j is None:
+            # scalar sequences are similar exactly when equal
+            return SimilarityWitness(Mat2.identity(ring)) if s1 == s2 else None
+        # every term commutes with s1[j], so with every h in its centralizer,
+        # and each intertwiner g0 h of the anchor gives the same verdict
+        g0 = _anchor_intertwiner(s1[j], s2[j])
+        m = None if g0 is None else _primitive(g0)
     if m is None:
         return None
-    det = m.det()
-    adj = m.adjugate()
+    # m is invertible over the fraction field, so m a adj(m) = det(m) b
+    # exactly when m a = b m
     for a, b in zip(s1.terms, s2.terms):
-        if (m * a) * adj != b.scale(det):
+        if m * a != b * m:
             return None
     return SimilarityWitness(m)
 

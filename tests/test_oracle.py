@@ -116,6 +116,16 @@ class TestBruteSimilar:
         s2 = seq(GF(3), [[[2, 0], [0, 0]]])
         assert brute_similar(s1, s2) is None
 
+    def test_row_two_equations_pin_candidates(self, count_calls):
+        # scalar source, lower-triangular target with the same diagonal: every
+        # b12 = 0 and every first row passes the row-1 equations, so without
+        # the row-2 equations all p^2 second rows of each first row are tried
+        s1 = seq(GF(13), [[[2, 0], [0, 2]], [[5, 0], [0, 5]]])
+        s2 = seq(GF(13), [[[2, 0], [1, 2]], [[5, 0], [3, 5]]])
+        calls = count_calls(oracle._conjugates)
+        assert brute_similar(s1, s2) is None
+        assert len(calls) <= 2 * 13
+
 
 # ---------------------------------------------------------------------------
 # the pruned scans against exhaustive row-major scans of GL2(GF(p))
@@ -198,6 +208,15 @@ class TestExhaustiveAgreement:
         for x, y, z in itertools.product(mats, repeat=3):
             s = MatSeq([x, y, z])
             assert _entries(brute_triangularizable(s)) == _exhaustive_tri(s)
+
+    def test_similar_gf3_lower_targets(self):
+        # every single-term source against every lower triangular target:
+        # each b12 = 0, so row 2 of g comes from the row-2 equations alone
+        mats = _all_matrices(3)
+        for x in mats:
+            for y in (m for m in mats if m.b.is_zero()):
+                s1, s2 = MatSeq([x]), MatSeq([y])
+                assert _entries(brute_similar(s1, s2)) == _exhaustive_similar(s1, s2)
 
     @pytest.mark.parametrize("p,count", [(2, 40), (3, 40), (5, 25), (7, 12), (13, 3)])
     def test_similar(self, p, count):

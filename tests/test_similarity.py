@@ -8,12 +8,15 @@ from hypothesis import strategies as st
 
 from matseq import (
     GF,
+    GroupElement,
     Mat2,
     MatSeq,
     PhiVector,
     PsiValue,
     Q,
+    QSqrt,
     QT,
+    Scalar,
     Z,
     are_similar,
     commutes,
@@ -24,7 +27,9 @@ from matseq import (
     is_stable,
     lift_seq,
     mat2,
+    maximal_reduction,
     phi_prime,
+    primitive_vector,
     psi_prime,
     seq,
     triple_reduction_check,
@@ -38,7 +43,11 @@ from matseq.errors import (
     RingMismatch,
     UnsupportedRing,
 )
-from matseq.similarity import _first_noncommuting_pair, _intertwiner_nullspace
+from matseq.similarity import (
+    _anchor_intertwiner,
+    _first_noncommuting_pair,
+    _pair_intertwiner,
+)
 
 from genseq import (
     eflip,
@@ -119,15 +128,300 @@ class TestAreSimilar:
         assert wq.group_element() is not None
 
     def test_rigidity_of_non_commuting_pairs(self):
+        # only scalars fix a non-commuting pair, and the primitive one is I
         rng = random.Random(11)
         for _ in range(50):
-            ring = rng.choice([Q, GF(5), GF(7)])
+            ring = rng.choice([Q, GF(5), GF(7), Z, QT])
             while True:
                 a, b = rand_mat(rng, ring), rand_mat(rng, ring)
                 if (a * b - b * a) != Mat2.zero(ring):
                     break
-            basis = _intertwiner_nullspace([(a, a), (b, b)], ring)
-            assert len(basis) == 1  # only scalars fix both
+            identity = Mat2.identity(ring)
+            assert _pair_intertwiner(a, b, a, b) == Mat2(*primitive_vector(identity.entries()))
+
+    @pytest.mark.parametrize("which", ["trace", "det"])
+    def test_screen_decides_before_any_intertwiner(self, which, count_calls):
+        s1 = seq(Q, [[[1, 2], [3, 4]], [[0, 1], [1, 0]], [[2, 0], [0, 5]], [[1, 1], [0, 3]]])
+        last = [[1, 1], [0, 4]] if which == "trace" else [[2, 1], [0, 2]]
+        s2 = MatSeq(list(s1.terms[:-1]) + [mat2(Q, last)])
+        assert (s1[-1].trace() == s2[-1].trace()) == (which == "det")
+        calls = count_calls(_anchor_intertwiner)
+        assert are_similar(s1, s2) is None
+        assert are_similar(s2, s1) is None
+        assert calls == []
+
+
+NINE_RINGS = (Z, Q, GF(2), GF(3), GF(5), GF(7), QSqrt(2), QSqrt(-3), QT)
+
+
+def _cases_per_ring(ring):
+    # the reference elimination takes polynomial gcds over Q[t]: ~50 ms a case
+    return 15 if ring == QT else 40
+
+
+def _nullspace4(rows, ring):
+    """Reference: basis of the nullspace of a matrix with 4 columns of raw
+    values, fraction-free, each row and basis vector kept primitive."""
+    is_zero, mul, sub, primitive = ring.is_zero, ring.mul, ring.sub, ring.primitive
+    m = [primitive(r) for r in rows if not all(map(is_zero, r))]
+    pivots = []
+    r = 0
+    for col in range(4):
+        piv = next((i for i in range(r, len(m)) if not is_zero(m[i][col])), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        for i in range(len(m)):
+            if i != r and not is_zero(m[i][col]):
+                f1, f2 = m[r][col], m[i][col]
+                m[i] = primitive([sub(mul(f1, m[i][j]), mul(f2, m[r][j])) for j in range(4)])
+        pivots.append(col)
+        r += 1
+        if r == len(m):
+            break
+    basis = []
+    prod = ring.raw_one()
+    for i, col in enumerate(pivots):
+        prod = mul(prod, m[i][col])
+    for f in range(4):
+        if f in pivots:
+            continue
+        vec = [ring.raw_zero()] * 4
+        vec[f] = prod
+        for i, col in enumerate(pivots):
+            vec[col] = ring.neg(mul(m[i][f], ring.div(prod, m[i][col])))
+        basis.append(primitive(vec))
+    return basis
+
+
+def _invertible_in_span(basis):
+    """Reference: an invertible element of the span, or None.  det is a
+    quadratic form on the span, known from its values on the basis vectors
+    and their pairwise sums."""
+    for m in basis:
+        if not m.det().is_zero():
+            return m
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            m = basis[i] + basis[j]
+            if not m.det().is_zero():
+                return m
+    return None
+
+
+def _old_intertwiner(pairs):
+    """Reference: the 4k x 4 system g a = b g over the k pairs (a, b)
+    solved by fraction-free elimination, then an invertible element of its
+    span."""
+    ring = pairs[0][0].ring
+    z = ring.zero()
+    rows = []
+    for a, b in pairs:
+        for row in ([a.a - b.a, a.c, -b.b, z],
+                    [a.b, a.d - b.a, z, -b.b],
+                    [-b.c, z, a.a - b.d, a.c],
+                    [z, -b.c, a.b, a.d - b.d]):
+            rows.append([x.value for x in row])
+    basis = [Mat2(*(Scalar(ring, x) for x in v)) for v in _nullspace4(rows, ring)]
+    return _invertible_in_span(basis)
+
+
+def _old_are_similar(s1, s2):
+    """Reference, without the screen: the elimination for the first
+    non-commuting pair, or for the first kept term of a commutative s1,
+    then the check of every term."""
+    pair = _first_noncommuting_pair(s1)
+    if pair is None:
+        kept = maximal_reduction(s1).kept_indices
+        if not kept:
+            return Mat2.identity(s1.ring) if s1 == s2 else None
+        m = _old_intertwiner([(s1.term(kept[0]), s2.term(kept[0]))])
+    else:
+        j, k = pair
+        m = _old_intertwiner([(s1[j], s2[j]), (s1[k], s2[k])])
+    if m is None:
+        return None
+    det, adj = m.det(), m.adjugate()
+    if any((m * a) * adj != b.scale(det) for a, b in zip(s1.terms, s2.terms)):
+        return None
+    return m
+
+
+def _conj(g, m):
+    return conjugate(g, MatSeq([m])).terms[0]
+
+
+def _anchor_cases(rng, ring, count):
+    """(a1, a2, b1, b2) with a1 not scalar, a2 not commuting with a1 and b1
+    a conjugate of a1: b2 is the matching conjugate of a2, a conjugate by
+    another g, or a perturbed conjugate."""
+    z, one = ring.zero(), ring.one()
+    made = 0
+    while made < count:
+        a1, a2 = rand_mat(rng, ring), rand_mat(rng, ring)
+        shape = rng.random()
+        if shape < 0.2:
+            a1 = Mat2(a1.a, z, z, a1.d)
+        elif shape < 0.4:
+            a1 = Mat2(a1.a, a1.b, z, a1.d)
+        if a1.is_scalar() or commutes(a1, a2):
+            continue
+        g = rand_group_element(rng, ring, steps=2)
+        b1, b2 = _conj(g, a1), _conj(g, a2)
+        kind = rng.randrange(3)
+        if kind == 1:
+            b2 = _conj(rand_group_element(rng, ring, steps=2), b2)
+        elif kind == 2:
+            b2 = b2 + Mat2(z, one, z, z)
+        made += 1
+        yield a1, a2, b1, b2
+
+
+class TestPairIntertwiner:
+    """The closed-form intertwiners against the elimination they replaced."""
+
+    @pytest.mark.parametrize("ring", NINE_RINGS, ids=repr)
+    def test_matches_elimination(self, ring):
+        rng = random.Random(f"pair-{ring!r}")
+        found = 0
+        for a1, a2, b1, b2 in _anchor_cases(rng, ring, _cases_per_ring(ring)):
+            want = _old_intertwiner([(a1, b1), (a2, b2)])
+            got = _pair_intertwiner(a1, a2, b1, b2)
+            if want is not None:
+                found += 1
+                assert got == want
+            else:
+                # no invertible intertwiner: None, or a g the term check rejects
+                assert got is None or got * a2 != b2 * got
+        assert found >= _cases_per_ring(ring) // 4
+
+    @pytest.mark.parametrize("ring", NINE_RINGS, ids=repr)
+    def test_are_similar_matches_reference(self, ring):
+        rng = random.Random(f"seq-{ring!r}")
+        done = 0
+        while done < _cases_per_ring(ring):
+            s1 = rand_seq(rng, ring, rng.randint(2, 3))
+            if _first_noncommuting_pair(s1) is None:
+                continue
+            s2 = conjugate(rand_group_element(rng, ring, steps=2), s1)
+            if rng.random() < 0.5:
+                terms = list(s2.terms)
+                k = rng.randrange(s1.n)
+                terms[k] = _conj(rand_group_element(rng, ring, steps=2), terms[k])
+                s2 = MatSeq(terms)
+            w = are_similar(s1, s2)
+            assert (None if w is None else w.m) == _old_are_similar(s1, s2)
+            done += 1
+
+    @pytest.mark.parametrize("ring", NINE_RINGS, ids=repr)
+    def test_commutative_verdicts_match_elimination(self, ring):
+        # a commutative s1 (polynomials y A + x I in one A, some of them
+        # scalar) against a conjugate, the same polynomials in
+        # [[tr A, -det A], [1, 0]], or a conjugate with one non-scalar term
+        # conjugated again; the witness is g0's primitive point, the old
+        # one another element of the same plane, so only verdicts compare
+        rng = random.Random(f"comm-{ring!r}")
+        z, one = ring.zero(), ring.one()
+        found = missed = 0
+        for _ in range(_cases_per_ring(ring)):
+            a = rand_mat(rng, ring)
+            if a.is_scalar():
+                continue
+            ys = [rand_scalar(rng, ring) for _ in range(rng.randint(2, 4))]
+            ys = [y if not y.is_zero() and rng.random() < 0.8 else z for y in ys]
+            ys[0] = one
+            s1 = MatSeq([a.scale(y) + Mat2.identity(ring).scale(rand_scalar(rng, ring))
+                         for y in ys])
+            kind = rng.randrange(3)
+            if kind == 1:
+                b = Mat2(a.trace(), -a.det(), one, z)
+                s2 = MatSeq([b.scale(y) + (t - a.scale(y)) for y, t in zip(ys, s1.terms)])
+            else:
+                s2 = conjugate(rand_group_element(rng, ring, steps=2), s1)
+                if kind == 2:
+                    terms = list(s2.terms)
+                    k = rng.choice([i for i, y in enumerate(ys) if not y.is_zero()])
+                    terms[k] = _conj(rand_group_element(rng, ring, steps=2), terms[k])
+                    s2 = MatSeq(terms)
+            w = are_similar(s1, s2)
+            assert (w is None) == (_old_are_similar(s1, s2) is None)
+            if w is not None:
+                found += 1
+                assert w.apply(s1).terms == s2.terms
+                assert w.m == Mat2(*primitive_vector(w.m.entries()))
+            else:
+                missed += 1
+        assert found and missed
+
+    @pytest.mark.parametrize("ring", NINE_RINGS, ids=repr)
+    def test_commutative_scalar_partner(self, ring):
+        # [[1, 1], [0, 1]] and I share trace and determinant, but I is only
+        # conjugate to itself
+        one, z = ring.one(), ring.zero()
+        a1, b1 = Mat2(one, one, z, one), Mat2.identity(ring)
+        assert _anchor_intertwiner(a1, b1) is None
+        assert are_similar(MatSeq([a1, b1]), MatSeq([b1, b1])) is None
+        assert are_similar(MatSeq([b1, a1]), MatSeq([b1, a1])).m == Mat2.identity(ring)
+
+    @pytest.mark.parametrize("ring", NINE_RINGS, ids=repr)
+    def test_named_anchor_shapes(self, ring):
+        one, z = ring.one(), ring.zero()
+        two = ring.scalar_from_int(2)
+        diagonal = Mat2(one, z, z, z)                 # b = c = 0
+        upper = Mat2(one, two, z, z)                  # c = 0, b != 0
+        other = Mat2(z, one, one, one)
+        g = GroupElement(Mat2(one, one, z, one))
+        for a1 in (diagonal, upper):
+            s1 = MatSeq([a1, other])
+            assert not commutes(a1, other)
+            s2 = conjugate(g, s1)
+            w = are_similar(s1, s2)
+            assert w is not None and w.apply(s1).terms == s2.terms
+            assert w.m == _old_are_similar(s1, s2)
+
+    @pytest.mark.parametrize("ring", NINE_RINGS, ids=repr)
+    def test_scalar_partner_of_non_scalar_anchor(self, ring):
+        # [[1, 1], [0, 1]] and I share trace and determinant, but I is only
+        # conjugate to itself.  For the second (a2, b2) every entry of
+        # g a2 - b2 g vanishes on the singular g0 a scalar b1 would give,
+        # so the closed form must stop before it.
+        one, z = ring.one(), ring.zero()
+        a1, b1 = Mat2(one, one, z, one), Mat2.identity(ring)
+        for a2, b2 in ((Mat2(z, z, one, z), Mat2(z, z, one, z)),
+                       (Mat2(z, z, z, one), Mat2(one, z, one, z))):
+            assert not commutes(a1, a2)
+            assert a1.trace() == b1.trace() and a1.det() == b1.det()
+            assert a2.trace() == b2.trace() and a2.det() == b2.det()
+            assert _pair_intertwiner(a1, a2, b1, b2) is None
+            assert _old_intertwiner([(a1, b1), (a2, b2)]) is None
+            assert are_similar(MatSeq([a1, a2]), MatSeq([b1, b2])) is None
+
+    def test_eflip_partners(self):
+        # same traces (a <-> d keeps every trace word of length <= 2) but
+        # not similar once the pair is in psi's domain
+        rng = random.Random(12)
+        hits = 0
+        for ring in NINE_RINGS:
+            for _ in range(12):
+                s = rand_upper_seq(rng, ring, 3)
+                if _first_noncommuting_pair(s) is None:
+                    continue
+                f = eflip(s)
+                w = are_similar(s, f)
+                assert (None if w is None else w.m) == _old_are_similar(s, f)
+                hits += w is None
+        assert hits > 30
+
+    def test_integer_witness_with_determinant_two(self):
+        # conjugation by diag(1, 2) over Q maps these integer pairs to
+        # integer pairs; the intertwiners are the multiples of diag(1, 2)
+        s1 = seq(Z, [[[1, 2], [1, 0]], [[0, 2], [3, 1]]])
+        s2 = seq(Z, [[[1, 1], [2, 0]], [[0, 1], [6, 1]]])
+        w = are_similar(s1, s2)
+        assert w is not None and w.m == mat2(Z, [[1, 0], [0, 2]])
+        assert not w.det_is_unit() and w.m.det() == Z(2)
+        assert w.apply(s1).terms == s2.terms
+        assert w.m == _old_are_similar(s1, s2)
 
 
 def _quadratic_first_noncommuting_pair(s):
