@@ -13,6 +13,10 @@ Five rings are available through a common descriptor interface:
                   ``Fraction`` coefficients stored low-to-high with no
                   trailing zeros (the zero polynomial is the empty tuple)
 
+Values keep these representations, but products, inverses and quotients over
+Q(sqrt(d)) and Q[t] run on cleared integer numerators, with one Fraction built
+per result coefficient (sums stay on Fraction, where clearing costs more).
+
 Every value is kept canonical, so ``==`` and ``hash`` on :class:`Scalar` are
 structural.  Canonical square roots: nonnegative over Q, the least residue in
 ``[0, (p-1)/2]`` over GF(p), and positive sqrt(d)-part (tie broken by
@@ -155,11 +159,19 @@ def squarefree_part(x: Fraction) -> int:
 _PZERO: tuple[Fraction, ...] = ()
 
 
-def _ptrim(cs: Sequence[Fraction]) -> tuple[Fraction, ...]:
+def _ptrim(cs: Sequence) -> tuple:
     n = len(cs)
     while n and cs[n - 1] == 0:
         n -= 1
     return tuple(cs[:n])
+
+
+def _pden(f: tuple) -> int:
+    return _int_lcm(*[c.denominator for c in f])
+
+
+def _pnums(f: tuple, den: int) -> list[int]:
+    return [c.numerator * (den // c.denominator) for c in f]
 
 
 def _padd(f: tuple, g: tuple) -> tuple:
@@ -172,7 +184,7 @@ def _padd(f: tuple, g: tuple) -> tuple:
 
 
 def _pneg(f: tuple) -> tuple:
-    return tuple(-c for c in f)
+    return tuple([-c for c in f])
 
 
 def _psub(f: tuple, g: tuple) -> tuple:
@@ -182,47 +194,55 @@ def _psub(f: tuple, g: tuple) -> tuple:
 def _pmul(f: tuple, g: tuple) -> tuple:
     if not f or not g:
         return _PZERO
-    out = [Fraction(0)] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
+    df, dg = _pden(f), _pden(g)
+    gs = _pnums(g, dg)
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(_pnums(f, df)):
         if a:
-            for j, b in enumerate(g):
+            for j, b in enumerate(gs):
                 out[i + j] += a * b
-    return _ptrim(out)
+    den = df * dg  # lc(f)*lc(g) != 0, so the product has no trailing zero
+    return tuple([Fraction(c, den) for c in out])
 
 
 def _pscale(f: tuple, c: Fraction) -> tuple:
     if c == 0:
         return _PZERO
-    return tuple(a * c for a in f)
+    return tuple([a * c for a in f])
+
+
+def _pseudo_divmod(fs: list[int], gs: list[int]) -> tuple[list[int], list[int], int]:
+    """(q, r, m) with m*fs = q*gs + r, deg r < deg gs, m = lc(gs)**len(q): q
+    and r are integral, so each step divides exactly; r is left untrimmed."""
+    lg, dg = gs[-1], len(gs) - 1
+    q = [0] * max(len(fs) - dg, 0)
+    m = lg ** len(q)
+    r = [m * c for c in fs]
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = c = r[k + dg] // lg
+        for i, b in enumerate(gs):
+            r[i + k] -= c * b
+    return q, r[:dg], m
 
 
 def _pdivmod(f: tuple, g: tuple) -> tuple[tuple, tuple]:
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(len(f) - len(g) + 1, 0)
-    r = list(f)
-    dg, lg = len(g) - 1, g[-1]
-    while len(r) >= len(g) and any(r):
-        r = _ptrim(r)
-        if len(r) < len(g):
-            break
-        k = len(r) - len(g)
-        c = r[-1] / lg
-        q[k] = c
-        r = list(r)
-        for i, b in enumerate(g):
-            r[i + k] -= c * b
-        r[-1] = Fraction(0)
-    return _ptrim(q), _ptrim(r)
+    df, dg = _pden(f), _pden(g)
+    q, r, m = _pseudo_divmod(_pnums(f, df), _pnums(g, dg))
+    # f = (q*g + r) / (m*df) once g is read as its numerators over dg
+    den = m * df
+    return tuple([Fraction(c * dg, den) for c in q]), tuple([Fraction(c, den) for c in _ptrim(r)])
 
 
 def _pgcd(f: tuple, g: tuple) -> tuple:
-    """Monic gcd."""
-    while g:
-        f, g = g, _pdivmod(f, g)[1]
-    if not f:
-        return _PZERO
-    return _pscale(f, 1 / f[-1])
+    """Monic gcd, from the primitive remainder sequence of the numerators."""
+    fs, gs = _pnums(f, _pden(f)), _pnums(g, _pden(g))
+    while gs:
+        r = _ptrim(_pseudo_divmod(fs, gs)[1])
+        cont = _int_gcd(*r) or 1
+        fs, gs = gs, [c // cont for c in r]
+    return tuple([Fraction(c, fs[-1]) for c in fs]) if fs else _PZERO
 
 
 def _pegcd(f: tuple, g: tuple) -> tuple[tuple, tuple, tuple]:
@@ -268,7 +288,7 @@ def _psqrt(f: tuple) -> tuple | None:
     return None
 
 
-_RATIONAL = re.compile(r"\s*[+-]?(?:\d+(?:/\d+)?|\d*\.\d+|\d+\.)\s*")
+_RATIONAL = re.compile(r"\s*([+-]?)(?:(\d+)(?:/(\d+))?|(?=\.?\d)(\d*)\.(\d*))\s*")
 
 
 def _parse_fraction(x) -> Fraction:
@@ -278,12 +298,17 @@ def _parse_fraction(x) -> Fraction:
         return x
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
-    if isinstance(x, str) and _RATIONAL.fullmatch(x):
-        try:
-            return Fraction(x)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {x!r}") from None
-    raise ValueError(f"expected a rational string, got {x!r}")
+    m = _RATIONAL.fullmatch(x) if isinstance(x, str) else None
+    if m is None:
+        raise ValueError(f"expected a rational string, got {x!r}")
+    sign, num, den, whole, frac = m.groups()
+    if num is None:
+        n, d = int(whole or "0") * 10 ** len(frac) + int(frac or "0"), 10 ** len(frac)
+    else:
+        n, d = int(num), int(den or "1")
+        if d == 0:
+            raise ValueError(f"zero denominator in {x!r}")
+    return Fraction(-n if sign == "-" else n, d)
 
 
 def _decimal(x: int | Fraction) -> str:
@@ -593,9 +618,7 @@ class RationalRing(RingDescriptor):
     def primitive(self, vals):
         """Coprime integers (Q is the fraction field of Z), first nonzero
         entry positive."""
-        den = _int_lcm(*(a.denominator for a in vals))
-        ints = [a.numerator * (den // a.denominator) for a in vals]
-        return tuple(Fraction(n) for n in _int_primitive(ints))
+        return tuple(Fraction(n) for n in _int_primitive(_pnums(vals, _pden(vals))))
 
     def adjoin_sqrt(self, a):
         d = squarefree_part(a)
@@ -697,6 +720,7 @@ class QuadExtRing(RingDescriptor):
         if d == 0 or _sqrt_fraction(d) is not None:
             raise UnsupportedRing(f"Q(sqrt({d})): d must not be a rational square")
         self.d = d
+        self._dn, self._dd = d.as_integer_ratio()
 
     def coerce(self, value):
         if isinstance(value, tuple) and len(value) == 2:
@@ -719,9 +743,12 @@ class QuadExtRing(RingDescriptor):
         return (a[0] - b[0], a[1] - b[1])
 
     def mul(self, a, b):
-        x1, y1 = a
-        x2, y2 = b
-        return (x1 * x2 + self.d * y1 * y2, x1 * y2 + y1 * x2)
+        # (n1/e1 + m1/f1 s)(n2/e2 + m2/f2 s), s*s = dn/dd, on cleared integers
+        (n1, e1), (m1, f1) = a[0].as_integer_ratio(), a[1].as_integer_ratio()
+        (n2, e2), (m2, f2) = b[0].as_integer_ratio(), b[1].as_integer_ratio()
+        e, f, fd = e1 * e2, f1 * f2, f1 * f2 * self._dd
+        return (Fraction(n1 * n2 * fd + self._dn * m1 * m2 * e, e * fd),
+                Fraction(n1 * m2 * f1 * e2 + m1 * n2 * e1 * f2, e * f))
 
     def neg(self, a):
         return (-a[0], -a[1])
@@ -733,11 +760,12 @@ class QuadExtRing(RingDescriptor):
         return not self.is_zero(a)
 
     def inv(self, a):
-        x, y = a
-        n = x * x - self.d * y * y
-        if n == 0:
+        # (x - y s) / (x*x - d*y*y) with x = n/e, y = m/f, on cleared integers
+        dd, (n, e), (m, f) = self._dd, a[0].as_integer_ratio(), a[1].as_integer_ratio()
+        norm = n * n * dd * f * f - self._dn * m * m * e * e
+        if norm == 0:
             raise ExactDivisionError("division by zero")
-        return (x / n, -y / n)
+        return (Fraction(n * e * dd * f * f, norm), Fraction(-m * e * e * dd * f, norm))
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -833,9 +861,9 @@ class PolynomialRing(RingDescriptor):
             g = _pgcd(g, a)
         if not g:
             return tuple(vals)
-        vals = [self.div(a, g) for a in vals]
-        lc = next(a for a in vals if a)[-1]
-        return tuple(_pscale(a, 1 / lc) for a in vals)
+        # g is monic: dividing by lc*g makes the first nonzero quotient monic
+        g = _pscale(g, next(a for a in vals if a)[-1])
+        return tuple([self.div(a, g) for a in vals])
 
     def value_to_json(self, a):
         return [_decimal(c) for c in a]

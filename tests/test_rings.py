@@ -1,5 +1,6 @@
 """Ring arithmetic, canonical square roots, gcd helpers, serialization."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,7 @@ from matseq.errors import (
     UnsupportedRing,
     ZeroVector,
 )
+from matseq import rings
 
 RINGS = [Z, Q, GF(2), GF(3), GF(7), QSqrt(5), QSqrt(-1), QT]
 
@@ -461,3 +463,157 @@ class TestScalarSyntax:
 
     def test_gf_modulus_as_string(self):
         assert ring_from_json({"kind": "GF", "p": "5"}) is GF(5)
+
+    def test_parse_agrees_with_fraction(self):
+        # the one-regex parser against Fraction's own string parser
+        rng = random.Random(5)
+        for _ in range(300):
+            whole = str(rng.randrange(10 ** rng.randrange(1, 30))) if rng.random() < 0.8 else ""
+            frac = str(rng.randrange(10 ** rng.randrange(1, 30)))
+            text = rng.choice(["", "+", "-"]) + rng.choice([
+                whole or "0", f"{whole or 0}/{rng.randrange(1, 10 ** 25)}",
+                f"{whole}.{frac}", f"{whole or 0}.", f".{frac}"])
+            assert rings._parse_fraction(text) == Fraction(text), text
+
+
+# Reference kernels: the plain Fraction formulas that the integer kernels in
+# matseq.rings replaced.  Results must match them value for value.
+
+def _ref_ptrim(cs):
+    n = len(cs)
+    while n and cs[n - 1] == 0:
+        n -= 1
+    return tuple(cs[:n])
+
+
+def _ref_padd(f, g):
+    if len(f) < len(g):
+        f, g = g, f
+    out = list(f)
+    for i, c in enumerate(g):
+        out[i] += c
+    return _ref_ptrim(out)
+
+
+def _ref_psub(f, g):
+    return _ref_padd(f, tuple(-c for c in g))
+
+
+def _ref_pmul(f, g):
+    out = [Fraction(0)] * max(len(f) + len(g) - 1, 0)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return _ref_ptrim(out)
+
+
+def _ref_pdivmod(f, g):
+    if not g:
+        raise ZeroDivisionError("polynomial division by zero")
+    q, r = [Fraction(0)] * max(len(f) - len(g) + 1, 0), list(f)
+    while len(_ref_ptrim(r)) >= len(g):
+        r = list(_ref_ptrim(r))
+        k = len(r) - len(g)
+        q[k] = c = r[-1] / g[-1]
+        for i, b in enumerate(g):
+            r[i + k] -= c * b
+    return _ref_ptrim(q), _ref_ptrim(r)
+
+
+def _ref_pgcd(f, g):
+    while g:
+        f, g = g, _ref_pdivmod(f, g)[1]
+    return tuple(c / f[-1] for c in f) if f else ()
+
+
+def _ref_qmul(d, a, b):
+    return (a[0] * b[0] + d * a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _ref_qinv(d, a):
+    n = a[0] * a[0] - d * a[1] * a[1]
+    if n == 0:
+        raise ExactDivisionError("division by zero")
+    return (a[0] / n, -a[1] / n)
+
+
+def _rand_fraction(rng):
+    """Zero, small, or with numerator and denominator past 64 bits."""
+    k = rng.randrange(10)
+    if k < 2:
+        return Fraction(0)
+    if k < 7:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    return Fraction(rng.randint(-2 ** 90, 2 ** 90), rng.randint(1, 2 ** 80))
+
+
+def _rand_poly(rng, degree=3):
+    return _ref_ptrim([_rand_fraction(rng) for _ in range(rng.randrange(degree + 2))])
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # the exception class is part of the contract
+        return "raised", type(exc)
+
+
+def _assert_same(got, want, canonical):
+    assert got == want
+    if got[0] == "ok":
+        assert hash(got[1]) == hash(want[1])
+        canonical(got[1])
+
+
+def _canonical_poly(f):
+    assert isinstance(f, tuple) and all(type(c) is Fraction for c in f)
+    assert not f or f[-1] != 0
+
+
+def _canonical_pair(a):
+    assert isinstance(a, tuple) and [type(c) for c in a] == [Fraction, Fraction]
+
+
+class TestIntegerKernels:
+    """The cleared-integer kernels against the Fraction formulas they replaced."""
+
+    @pytest.mark.parametrize("d", [Fraction(2), Fraction(-3), Fraction(3, 8)])
+    def test_quadratic_extension(self, d):
+        ring, rng = QSqrt(d), random.Random(f"qsqrt/{d}")
+        for _ in range(400):
+            a = (_rand_fraction(rng), _rand_fraction(rng))
+            b = (_rand_fraction(rng), _rand_fraction(rng))
+            _assert_same(_outcome(ring.mul, a, b), _outcome(_ref_qmul, d, a, b), _canonical_pair)
+            _assert_same(_outcome(ring.inv, a), _outcome(_ref_qinv, d, a), _canonical_pair)
+            want = _outcome(lambda: _ref_qmul(d, a, _ref_qinv(d, b)))
+            _assert_same(_outcome(ring.div, a, b), want, _canonical_pair)
+
+    @pytest.mark.parametrize("name,new,ref", [
+        ("mul", rings._pmul, _ref_pmul), ("add", rings._padd, _ref_padd),
+        ("sub", rings._psub, _ref_psub), ("divmod", rings._pdivmod, _ref_pdivmod),
+        ("gcd", rings._pgcd, _ref_pgcd),
+    ])
+    def test_polynomial(self, name, new, ref):
+        rng = random.Random(f"poly/{name}")
+        for _ in range(400):
+            f, g = _rand_poly(rng), _rand_poly(rng)
+            if name in ("divmod", "gcd") and rng.random() < 0.5:
+                f = _ref_pmul(f, _rand_poly(rng, 2))   # exact quotients too
+            canonical = (lambda qr: [_canonical_poly(p) for p in qr]) if name == "divmod" \
+                else _canonical_poly
+            _assert_same(_outcome(new, f, g), _outcome(ref, f, g), canonical)
+
+    def test_polynomial_primitive(self):
+        rng = random.Random("poly/primitive")
+        for _ in range(200):
+            common = _rand_poly(rng, 2)
+            vals = [_ref_pmul(_rand_poly(rng, 2), common) for _ in range(rng.randrange(1, 4))]
+            g = ()
+            for v in vals:
+                g = _ref_pgcd(g, v)
+            if not g:
+                assert QT.primitive(vals) == tuple(vals)
+                continue
+            quotients = [_ref_pdivmod(v, g)[0] for v in vals]
+            lc = next(v for v in quotients if v)[-1]
+            assert QT.primitive(vals) == tuple(tuple(c / lc for c in v) for v in quotients)
