@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Per-operation timing of the ring layer: add, mul, inv and a Mat2 multiply.
+"""Per-operation timing of the ring layer: add, mul, inv and Mat2 operations.
 
 For each ring it draws a fixed batch of operands from a seeded generator and
 times ``--samples`` passes over the batch with ``time.perf_counter_ns``.  One
@@ -12,7 +12,11 @@ the interquartile range of the samples in nanoseconds per operation.
   timed on units: over Z only 1 and -1 have inverses, over Q[t] only the
   nonzero constants.
 * ``mat2_mul`` is the library product ``m1 * m2`` of two :class:`Mat2`
-  matrices of boxed scalars.
+  matrices of boxed scalars, ``mat2_det`` is ``m.det()``.
+* ``conjugate`` is ``conjugate(g, s)`` for one :class:`GroupElement` g,
+  [[1, x], [0, 1]] [[1, 0], [y, 1]] diag(u, 1) with u a unit, and a
+  one-term sequence s.  The inverse of g is computed in the first pass and
+  cached by g, so the samples time the two products per term.
 
 Rings: Z, Q, GF(5), Q(sqrt 2), Q(sqrt -3) and Q[t] with operands of degree 2.
 Seeds are fixed; standard library only.  Run it against a source tree with
@@ -27,7 +31,7 @@ import statistics
 import time
 from fractions import Fraction
 
-from matseq import GF, Mat2, Q, QSqrt, QT, Scalar, Z
+from matseq import GF, GroupElement, Mat2, MatSeq, Q, QSqrt, QT, Scalar, Z, conjugate
 
 RINGS = (("Z", Z), ("Q", Q), ("GF(5)", GF(5)), ("Q(sqrt2)", QSqrt(2)),
          ("Q(sqrt-3)", QSqrt(-3)), ("Q[t]", QT))
@@ -61,6 +65,14 @@ def matrix(rng, ring):
     return Mat2(*(Scalar(ring, element(rng, ring)) for _ in range(4)))
 
 
+def group_element(rng, ring):
+    one, zero = ring.one(), ring.zero()
+    x, y = (Scalar(ring, element(rng, ring)) for _ in range(2))
+    u = Scalar(ring, element(rng, ring, unit=True))
+    return GroupElement(Mat2(one, x, zero, one) * Mat2(one, zero, y, one)
+                        * Mat2(u, zero, zero, one))
+
+
 def per_op_ns(call, batch, samples):
     """Median and IQR over samples of the mean ns per call of one pass."""
     out = []
@@ -85,8 +97,12 @@ def main(argv=None) -> int:
         pairs = [(element(rng, ring), element(rng, ring)) for _ in range(args.batch)]
         units = [(element(rng, ring, unit=True),) for _ in range(args.batch)]
         mats = [(matrix(rng, ring), matrix(rng, ring)) for _ in range(args.batch)]
+        conj = [(group_element(rng, ring), MatSeq([matrix(rng, ring)]))
+                for _ in range(args.batch)]
         for op, call, batch in (("add", ring.add, pairs), ("mul", ring.mul, pairs),
-                                ("inv", ring.inv, units), ("mat2_mul", Mat2.__mul__, mats)):
+                                ("inv", ring.inv, units), ("mat2_mul", Mat2.__mul__, mats),
+                                ("mat2_det", Mat2.det, [m[:1] for m in mats]),
+                                ("conjugate", conjugate, conj)):
             med, iqr = per_op_ns(call, batch, args.samples)
             print(f"{name:<10} {op:<9} {med:>10.0f} {iqr:>8.0f}")
     return 0

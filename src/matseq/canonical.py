@@ -45,7 +45,7 @@ from .rings import (
     ring_to_json,
     sqrt_with_extension,
 )
-from .similarity import PhiVector, PsiValue
+from .similarity import PhiVector, PsiValue, are_similar
 from .triangular import (
     Profile,
     eigenvalues_in_ring,
@@ -327,12 +327,9 @@ def canonicalize(s: MatSeq | Profile) -> CanonicalResult:
 
 
 def commutative_similar(s1: MatSeq, s2: MatSeq) -> bool:
-    """Similarity test for sequences already in a commutative canonical form.
-
-    Diagonal forms are similar exactly when equal up to the simultaneous swap
-    of the two diagonal entries; Jordan-like forms exactly when the diagonals
-    agree and the upper-right vectors differ by one nonzero scalar.
-    """
+    """Similarity test for sequences already in a commutative canonical form
+    (all diagonal, or all upper triangular with equal diagonal entries),
+    decided by :func:`~matseq.similarity.are_similar`."""
     if not is_commutative(s1) or not is_commutative(s2):
         raise NotCommutative("commutative_similar needs commutative sequences")
     if s1.ring != s2.ring:
@@ -340,37 +337,13 @@ def commutative_similar(s1: MatSeq, s2: MatSeq) -> bool:
     if s1.n != s2.n:
         raise LengthMismatch(f"lengths {s1.n} and {s2.n}")
 
-    def kind(s: MatSeq) -> str | None:
-        if all(t.is_diagonal() for t in s.terms):
-            return "diagonal"
-        if all(t.is_upper_triangular() and t.e.is_zero() for t in s.terms):
-            return "jordan"
-        return None
+    def in_form(s: MatSeq) -> bool:
+        return (all(t.is_diagonal() for t in s.terms)
+                or all(t.is_upper_triangular() and t.e.is_zero() for t in s.terms))
 
-    k1, k2 = kind(s1), kind(s2)
-    if k1 is None or k2 is None:
+    if not (in_form(s1) and in_form(s2)):
         raise NotApplicable("inputs must be in a commutative canonical form")
-    if k1 != k2:
-        return False
-    if k1 == "diagonal":
-        if s1 == s2:
-            return True
-        swapped = MatSeq(Mat2(t.d, t.b, t.c, t.a) for t in s1.terms)
-        return swapped == s2
-    if any(x != y for x, y in zip(s1.a, s2.a)):
-        return False
-    lam = None
-    for x, y in zip(s1.b, s2.b):
-        if x.is_zero() and y.is_zero():
-            continue
-        if x.is_zero() or y.is_zero():
-            return False
-        ratio = x / y
-        if lam is None:
-            lam = ratio
-        elif ratio != lam:
-            return False
-    return True
+    return are_similar(s1, s2) is not None
 
 
 # ---------------------------------------------------------------------------

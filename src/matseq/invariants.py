@@ -34,10 +34,11 @@ def trace_word(s: MatSeq, indices: Sequence[int]) -> Scalar:
     """t_J = tr(A_{j1} ... A_{jk}) for a nonempty 1-based index word J."""
     if not indices:
         raise BadIndex("a trace word needs at least one index")
-    prod = s.term(indices[0])
+    ring = s.ring
+    prod = s.term(indices[0]).raw
     for j in indices[1:]:
-        prod = prod * s.term(j)
-    return prod.trace()
+        prod = ring.mat_mul(prod, s.term(j).raw)
+    return Scalar(ring, ring.add(prod[0], prod[3]))
 
 
 def tau(x: Mat2, y: Mat2) -> Scalar:

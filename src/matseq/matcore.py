@@ -1,9 +1,10 @@
 """2x2 matrices, invertible conjugators and finite matrix sequences.
 
 A :class:`Mat2` stores four :class:`~matseq.rings.Scalar` entries over one
-ring.  A :class:`MatSeq` is a nonempty tuple of same-ring matrices; the
-entry vectors a, b, c, d (and e = a - d) are exposed since most invariants
-are polynomial in them.  A :class:`GroupElement` wraps a matrix whose
+ring; its arithmetic runs on their raw values through the descriptor's 2x2
+kernels (``ring.mat_mul``) and wraps each result once.  A :class:`MatSeq` is
+a nonempty tuple of same-ring matrices; the entry vectors a, b, c, d (and
+e = a - d) are exposed since most invariants are polynomial in them.  A :class:`GroupElement` wraps a matrix whose
 determinant is a unit, so its inverse exists over the same ring.
 
 Term indices on sequences are 1-based throughout the public API, matching
@@ -30,9 +31,29 @@ class Mat2:
             raise RingMismatch("matrix entries must share one ring")
         self.a, self.b, self.c, self.d = a, b, c, d
 
+    @classmethod
+    def _of(cls, ring: RingDescriptor, values) -> "Mat2":
+        """The matrix of four raw row-major values of ring, unchecked."""
+        m = object.__new__(cls)
+        a, b, c, d = values
+        m.a, m.b, m.c, m.d = Scalar(ring, a), Scalar(ring, b), Scalar(ring, c), Scalar(ring, d)
+        return m
+
     @property
     def ring(self) -> RingDescriptor:
         return self.a.ring
+
+    @property
+    def raw(self) -> tuple:
+        """The raw values of the entries, row-major."""
+        return (self.a.value, self.b.value, self.c.value, self.d.value)
+
+    def _ring_with(self, other: "Mat2") -> RingDescriptor:
+        """The ring of both operands; raises RingMismatch if they differ."""
+        ring = self.a.ring
+        if other.a.ring is not ring and other.a.ring != ring:
+            raise RingMismatch(f"{ring!r} vs {other.a.ring!r}")
+        return ring
 
     @property
     def e(self) -> Scalar:
@@ -60,32 +81,33 @@ class Mat2:
         return (self.a, self.b, self.c, self.d)
 
     def __add__(self, other: "Mat2") -> "Mat2":
-        return Mat2(self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d)
+        ring = self._ring_with(other)
+        return Mat2._of(ring, map(ring.add, self.raw, other.raw))
 
     def __sub__(self, other: "Mat2") -> "Mat2":
-        return Mat2(self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d)
+        ring = self._ring_with(other)
+        return Mat2._of(ring, map(ring.sub, self.raw, other.raw))
 
     def __neg__(self) -> "Mat2":
-        return Mat2(-self.a, -self.b, -self.c, -self.d)
+        return Mat2._of(self.ring, map(self.ring.neg, self.raw))
 
     def __mul__(self, other):
         if isinstance(other, Mat2):
-            return Mat2(self.a * other.a + self.b * other.c,
-                        self.a * other.b + self.b * other.d,
-                        self.c * other.a + self.d * other.c,
-                        self.c * other.b + self.d * other.d)
+            ring = self._ring_with(other)
+            return Mat2._of(ring, ring.mat_mul(self.raw, other.raw))
         if isinstance(other, Scalar):
             return self.scale(other)
         return NotImplemented
 
     def scale(self, s: Scalar) -> "Mat2":
-        return Mat2(self.a * s, self.b * s, self.c * s, self.d * s)
+        v, mul = self.a._raw(s), self.ring.mul
+        return Mat2._of(self.ring, [mul(x, v) for x in self.raw])
 
     def trace(self) -> Scalar:
-        return self.a + self.d
+        return Scalar(self.ring, self.ring.add(self.a.value, self.d.value))
 
     def det(self) -> Scalar:
-        return self.a * self.d - self.b * self.c
+        return Scalar(self.ring, self.ring.mat_det(self.raw))
 
     def disc(self) -> Scalar:
         """The discriminant tr^2 - 4 det = e^2 + 4bc."""
@@ -322,15 +344,14 @@ def lift_seq(s: MatSeq, target: RingDescriptor) -> MatSeq:
 
 def conjugate_mat(g: GroupElement, m: Mat2) -> Mat2:
     """g m g^-1."""
-    return g.m * m * g.inverse_matrix()
+    return conjugate(g, MatSeq((m,))).terms[0]
 
 
 def conjugate(g: GroupElement, s: MatSeq) -> MatSeq:
     """Termwise conjugation (g A_1 g^-1, ..., g A_n g^-1)."""
-    if g.ring != s.ring:
-        raise RingMismatch(f"{g.ring!r} vs {s.ring!r}")
-    ginv = g.inverse_matrix()
-    return MatSeq(g.m * t * ginv for t in s.terms)
+    ring = g.m._ring_with(s.terms[0])
+    mul, gm, ginv = ring.mat_mul, g.m.raw, g.inverse_matrix().raw
+    return MatSeq(Mat2._of(ring, mul(mul(gm, t.raw), ginv)) for t in s.terms)
 
 
 def commutator(x: Mat2, y: Mat2) -> Mat2:

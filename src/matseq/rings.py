@@ -15,7 +15,10 @@ Five rings are available through a common descriptor interface:
 
 Values keep these representations, but products, inverses and quotients over
 Q(sqrt(d)) and Q[t] run on cleared integer numerators, with one Fraction built
-per result coefficient (sums stay on Fraction, where clearing costs more).
+per result coefficient.  The 2x2 kernels ``mat_mul`` and ``mat_det`` on raw
+row-major 4-tuples clear each matrix once over Q and Q[t] (and ``mat_mul``
+over Q(sqrt(d))) and build each entry as one integer dot product or
+convolution sum.
 
 Every value is kept canonical, so ``==`` and ``hash`` on :class:`Scalar` are
 structural.  Canonical square roots: nonnegative over Q, the least residue in
@@ -154,6 +157,13 @@ def squarefree_part(x: Fraction) -> int:
     return sign * d * n
 
 
+def _imat_mul(x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
+    """The product of two integer 2x2 matrices, raw row-major 4-tuples."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
 # polynomial helpers: tuples of Fraction, low-to-high, no trailing zeros
 
 _PZERO: tuple[Fraction, ...] = ()
@@ -174,6 +184,12 @@ def _pnums(f: tuple, den: int) -> list[int]:
     return [c.numerator * (den // c.denominator) for c in f]
 
 
+def _pclear(fs: Sequence[tuple]) -> tuple[list[list[int]], int]:
+    """(ns, den) with fs[i] = ns[i] / den coefficientwise, integer ns[i]."""
+    den = _pden([c for f in fs for c in f])
+    return [_pnums(f, den) for f in fs], den
+
+
 def _padd(f: tuple, g: tuple) -> tuple:
     if len(f) < len(g):
         f, g = g, f
@@ -191,18 +207,21 @@ def _psub(f: tuple, g: tuple) -> tuple:
     return _padd(f, _pneg(g))
 
 
+def _pconv(den: int, *pairs: tuple[list[int], list[int]]) -> tuple:
+    """The sum of the f*g over the pairs of integer coefficient lists, divided
+    by den: one convolution sum, trimmed, one Fraction per coefficient."""
+    out = [0] * max(len(f) + len(g) for f, g in pairs)
+    for f, g in pairs:
+        for i, a in enumerate(f):
+            if a:
+                for j, b in enumerate(g):
+                    out[i + j] += a * b
+    return tuple([Fraction(c, den) for c in _ptrim(out)])
+
+
 def _pmul(f: tuple, g: tuple) -> tuple:
-    if not f or not g:
-        return _PZERO
     df, dg = _pden(f), _pden(g)
-    gs = _pnums(g, dg)
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(_pnums(f, df)):
-        if a:
-            for j, b in enumerate(gs):
-                out[i + j] += a * b
-    den = df * dg  # lc(f)*lc(g) != 0, so the product has no trailing zero
-    return tuple([Fraction(c, den) for c in out])
+    return _pconv(df * dg, (_pnums(f, df), _pnums(g, dg)))
 
 
 def _pscale(f: tuple, c: Fraction) -> tuple:
@@ -436,6 +455,18 @@ class RingDescriptor:
         """A total order on raw values, used for deterministic tie-breaks."""
         raise NotImplementedError
 
+    # 2x2 kernels on raw row-major 4-tuples, overridden with cleared ones ----
+    def mat_mul(self, x, y):
+        add, mul = self.add, self.mul
+        a, b, c, d = x
+        e, f, g, h = y
+        return (add(mul(a, e), mul(b, g)), add(mul(a, f), mul(b, h)),
+                add(mul(c, e), mul(d, g)), add(mul(c, f), mul(d, h)))
+
+    def mat_det(self, x):
+        a, b, c, d = x
+        return self.sub(self.mul(a, d), self.mul(b, c))
+
     # ring structure: the defaults are the field rules ----------------------
     def egcd(self, a, b):
         """(g, u, v) with a*u + b*v = g, g a canonical gcd associate.
@@ -536,6 +567,9 @@ class IntegerRing(RingDescriptor):
     def sort_key(self, a):
         return a
 
+    def mat_mul(self, x, y):
+        return _imat_mul(x, y)
+
     def egcd(self, a, b):
         old_r, r = a, b
         old_s, s = 1, 0
@@ -615,6 +649,16 @@ class RationalRing(RingDescriptor):
     def sort_key(self, a):
         return a
 
+    def mat_mul(self, x, y):
+        dx, dy = _pden(x), _pden(y)
+        den = dx * dy
+        return tuple([Fraction(n, den) for n in _imat_mul(_pnums(x, dx), _pnums(y, dy))])
+
+    def mat_det(self, x):
+        den = _pden(x)
+        a, b, c, d = _pnums(x, den)
+        return Fraction(a * d - b * c, den * den)
+
     def primitive(self, vals):
         """Coprime integers (Q is the fraction field of Z), first nonzero
         entry positive."""
@@ -692,6 +736,9 @@ class PrimeFieldRing(RingDescriptor):
 
     def sort_key(self, a):
         return a
+
+    def mat_mul(self, x, y):
+        return tuple([v % self.p for v in _imat_mul(x, y)])
 
     def value_to_json(self, a):
         return a
@@ -776,6 +823,16 @@ class QuadExtRing(RingDescriptor):
     def sort_key(self, a):
         return a
 
+    def mat_mul(self, x, y):
+        # x = (X0 + X1 s)/dx, y = (Y0 + Y1 s)/dy, integer X0, X1, Y0, Y1, s*s = dn/dd
+        (xs, dx), (ys, dy) = _pclear(x), _pclear(y)
+        (x0, x1), (y0, y1) = zip(*xs), zip(*ys)
+        den, dd, dn = dx * dy, self._dd, self._dn
+        rat = zip(_imat_mul(x0, y0), _imat_mul(x1, y1))
+        irr = zip(_imat_mul(x0, y1), _imat_mul(x1, y0))
+        return tuple([(Fraction(p * dd + dn * q, den * dd), Fraction(u + v, den))
+                      for (p, q), (u, v) in zip(rat, irr)])
+
     def adjoin_sqrt(self, a):
         raise TowerTooDeep(f"sqrt of {self!r}:{a!r} needs a second quadratic extension")
 
@@ -850,6 +907,16 @@ class PolynomialRing(RingDescriptor):
 
     def sort_key(self, a):
         return (len(a), a)
+
+    def mat_mul(self, x, y):
+        ((a, b, c, d), dx), ((e, f, g, h), dy) = _pclear(x), _pclear(y)
+        den = dx * dy
+        return (_pconv(den, (a, e), (b, g)), _pconv(den, (a, f), (b, h)),
+                _pconv(den, (c, e), (d, g)), _pconv(den, (c, f), (d, h)))
+
+    def mat_det(self, x):
+        (a, b, c, d), den = _pclear(x)
+        return _pconv(den * den, (a, d), (b, [-v for v in c]))
 
     def egcd(self, a, b):
         return _pegcd(a, b)

@@ -66,13 +66,11 @@ class SimilarityWitness:
         return GroupElement(self.m)
 
     def apply(self, s: MatSeq) -> MatSeq:
-        det = self.m.det()
-        adj = self.m.adjugate()
-        out = []
-        for t in s.terms:
-            u = self.m * t * adj
-            out.append(Mat2(u.a / det, u.b / det, u.c / det, u.d / det))
-        return MatSeq(out)
+        ring = self.m._ring_with(s.terms[0])
+        mul, div, det = ring.mat_mul, ring.div, self.m.det().value
+        m, adj = self.m.raw, self.m.adjugate().raw
+        return MatSeq(Mat2._of(ring, [div(x, det) for x in mul(mul(m, t.raw), adj)])
+                      for t in s.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +180,10 @@ def are_similar(s1: MatSeq, s2: MatSeq) -> SimilarityWitness | None:
     if m is None:
         return None
     # m is invertible over the fraction field, so m a adj(m) = det(m) b
-    # exactly when m a = b m
+    # exactly when m a = b m; raw values are canonical, so tuples compare
+    mul, raw = ring.mat_mul, m.raw
     for a, b in zip(s1.terms, s2.terms):
-        if m * a != b * m:
+        if mul(raw, a.raw) != mul(b.raw, raw):
             return None
     return SimilarityWitness(m)
 

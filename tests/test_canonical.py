@@ -200,6 +200,19 @@ class TestCommutativeSimilar:
         s2 = seq(Q, [[[1, 2], [0, 1]], [[2, 6], [0, 2]]])
         assert commutative_similar(s1, s2)
 
+    def test_jordan_scaling_over_z(self):
+        # the upper-right vectors differ by the factor 2/3, which is not in Z
+        s1 = seq(Z, [[[1, 1], [0, 1]], [[2, 3], [0, 2]]])
+        s2 = seq(Z, [[[1, 2], [0, 1]], [[2, 6], [0, 2]]])
+        assert commutative_similar(s1, s2)
+        assert are_similar(s1, s2) is not None
+
+    def test_jordan_not_similar_over_z(self):
+        s1 = seq(Z, [[[1, 1], [0, 1]], [[2, 3], [0, 2]]])
+        s2 = seq(Z, [[[1, 2], [0, 1]], [[2, 5], [0, 2]]])
+        assert not commutative_similar(s1, s2)
+        assert are_similar(s1, s2) is None
+
     def test_jordan_diagonal_mismatch(self):
         s1 = seq(Q, [[[1, 1], [0, 1]]])
         s2 = seq(Q, [[[2, 1], [0, 2]]])

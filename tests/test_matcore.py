@@ -12,6 +12,9 @@ from matseq import (
     Mat2,
     MatSeq,
     Q,
+    QT,
+    QSqrt,
+    Scalar,
     Z,
     commutator,
     concat,
@@ -24,6 +27,8 @@ from matseq import (
     subsequence,
 )
 from matseq.errors import BadIndex, ExactDivisionError, RingMismatch
+from matseq.rings import RingDescriptor
+from matseq.similarity import SimilarityWitness
 
 from genseq import rand_group_element, rand_mat, rand_seq
 
@@ -153,6 +158,129 @@ class TestConjugation:
         # conjugating back recovers the input
         back = conjugate(g.inverse(), conjugate(g, s))
         assert back.terms == s.terms
+
+
+# reference formulas: entrywise Scalar arithmetic, independent of the 2x2 kernels
+
+
+def boxed_mul(x, y):
+    return Mat2(x.a * y.a + x.b * y.c, x.a * y.b + x.b * y.d,
+                x.c * y.a + x.d * y.c, x.c * y.b + x.d * y.d)
+
+
+def boxed_det(x):
+    return x.a * x.d - x.b * x.c
+
+
+def boxed_conjugate(g, t):
+    dinv = boxed_det(g).inverse()
+    ginv = Mat2(g.d * dinv, -g.b * dinv, -g.c * dinv, g.a * dinv)
+    return boxed_mul(boxed_mul(g, t), ginv)
+
+
+KERNEL_RINGS = [Z, Q, GF(2), GF(5), QSqrt(2), QSqrt(-3), QT]
+BIG = 2**64
+
+
+def kernel_rational(rng):
+    """Zero, small, or with a numerator or denominator over 64 bits."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Fraction(0)
+    if kind == 1:
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+    return Fraction(rng.randint(-BIG**2, BIG**2) if kind == 2 else rng.randint(-9, 9),
+                    rng.randint(BIG, 2 * BIG) if kind == 3 else rng.randint(1, 9))
+
+
+def kernel_raw(rng, ring):
+    """A canonical raw value of ring, zero about one time in four."""
+    if ring is Z:
+        return rng.choice((0, rng.randint(-9, 9), rng.randint(-BIG**2, BIG**2)))
+    if ring is Q:
+        return kernel_rational(rng)
+    if ring is QT:
+        return ring.coerce([kernel_rational(rng) for _ in range(rng.randrange(4))])
+    if ring.is_finite:
+        return rng.randrange(ring.characteristic())
+    return (kernel_rational(rng), kernel_rational(rng))
+
+
+def kernel_unit(rng, ring):
+    while True:
+        u = kernel_raw(rng, ring)
+        if ring.is_unit(u):
+            return u
+        if ring is Z:
+            return rng.choice((1, -1))
+
+
+def kernel_mat(rng, ring):
+    return Mat2._of(ring, [kernel_raw(rng, ring) for _ in range(4)])
+
+
+def kernel_group(rng, ring):
+    """[[1, x], [0, 1]] [[1, 0], [y, 1]] diag(u, 1), built with boxed products."""
+    one, zero = ring.one(), ring.zero()
+    x, y, u = (Scalar(ring, kernel_raw(rng, ring)), Scalar(ring, kernel_raw(rng, ring)),
+               Scalar(ring, kernel_unit(rng, ring)))
+    m = boxed_mul(boxed_mul(Mat2(one, x, zero, one), Mat2(one, zero, y, one)),
+                  Mat2(u, zero, zero, one))
+    return GroupElement(m)
+
+
+def assert_same(got, want):
+    assert got == want
+    assert hash(got) == hash(want)
+
+
+class TestKernelsAgainstBoxed:
+    """Mat2 arithmetic through ``ring.mat_mul`` equals the entrywise Scalar
+    formulas, value and canonical raw form, on seeded inputs with zero
+    entries, negative values and 64-bit-plus numerators and denominators."""
+
+    @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=repr)
+    def test_product_det_trace_conjugate(self, ring):
+        rng = random.Random(f"kernels/{ring!r}")
+        for _ in range(100):
+            x, y = kernel_mat(rng, ring), kernel_mat(rng, ring)
+            assert_same(x * y, boxed_mul(x, y))
+            assert_same(x.det(), boxed_det(x))
+            assert_same(x.trace(), x.a + x.d)
+            # the base-class kernels, on the descriptor's own add, sub and mul
+            assert RingDescriptor.mat_mul(ring, x.raw, y.raw) == (x * y).raw
+            assert RingDescriptor.mat_det(ring, x.raw) == x.det().value
+            assert_same(commutator(x, y), boxed_mul(x, y) - boxed_mul(y, x))
+        for _ in range(25):
+            g = kernel_group(rng, ring)
+            s = MatSeq(kernel_mat(rng, ring) for _ in range(2))
+            got = conjugate(g, s)
+            for t, u in zip(s.terms, got.terms):
+                assert_same(u, boxed_conjugate(g.m, t))
+            assert SimilarityWitness(g.m).apply(s) == got
+
+    def test_polynomial_sums_cancel_to_lower_degree(self):
+        rng = random.Random("kernels/cancel")
+        for _ in range(30):
+            f, g, h1, h2 = (Scalar(QT, kernel_raw(rng, QT)) for _ in range(4))
+            x = Mat2(f, g, g, f)
+            y = Mat2(g + h1, g, h2 - f, -f)
+            xy = x * y
+            assert_same(xy, boxed_mul(x, y))
+            # entry a is f*h1 + g*h2, of lower degree than f*g or the zero polynomial
+            assert xy.a == f * h1 + g * h2
+            assert xy.b == QT.zero()
+
+    @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=repr)
+    def test_mixed_rings_raise(self, ring):
+        other = Q if ring is not Q else Z
+        x, y = Mat2.identity(ring), Mat2.identity(other)
+        for op in (lambda: x * y, lambda: y * x, lambda: x + y, lambda: x - y,
+                   lambda: commutator(x, y), lambda: x.scale(other.one()),
+                   lambda: conjugate(GroupElement(x), MatSeq([y])),
+                   lambda: SimilarityWitness(x).apply(MatSeq([y]))):
+            with pytest.raises(RingMismatch):
+                op()
 
 
 class TestMatSeq:
