@@ -20,6 +20,11 @@ row-major 4-tuples clear each matrix once over Q and Q[t] (and ``mat_mul``
 over Q(sqrt(d))) and build each entry as one integer dot product or
 convolution sum.
 
+``ring.cleared(terms)`` is the decider boundary: Q clears each raw 2x2 term
+to an integer matrix over Z with one lcm per term, and the other rings
+return their input.  The reduction, the obstruction scan and ``are_similar``
+run on the cleared terms; printed values are never read from them.
+
 Every value is kept canonical, so ``==`` and ``hash`` on :class:`Scalar` are
 structural.  Canonical square roots: nonnegative over Q, the least residue in
 ``[0, (p-1)/2]`` over GF(p), and positive sqrt(d)-part (tie broken by
@@ -176,18 +181,19 @@ def _ptrim(cs: Sequence) -> tuple:
     return tuple(cs[:n])
 
 
-def _pden(f: tuple) -> int:
-    return _int_lcm(*[c.denominator for c in f])
-
-
-def _pnums(f: tuple, den: int) -> list[int]:
-    return [c.numerator * (den // c.denominator) for c in f]
+def _clear(f: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(ns, den) with f[i] = ns[i] / den, integer ns[i], den the lcm of the
+    denominators: one pass over ``as_integer_ratio``."""
+    ratios = [c.as_integer_ratio() for c in f]
+    den = _int_lcm(*[d for _, d in ratios])
+    return [n * (den // d) for n, d in ratios], den
 
 
 def _pclear(fs: Sequence[tuple]) -> tuple[list[list[int]], int]:
     """(ns, den) with fs[i] = ns[i] / den coefficientwise, integer ns[i]."""
-    den = _pden([c for f in fs for c in f])
-    return [_pnums(f, den) for f in fs], den
+    flat, den = _clear([c for f in fs for c in f])
+    it = iter(flat)
+    return [[next(it) for _ in f] for f in fs], den
 
 
 def _padd(f: tuple, g: tuple) -> tuple:
@@ -220,8 +226,8 @@ def _pconv(den: int, *pairs: tuple[list[int], list[int]]) -> tuple:
 
 
 def _pmul(f: tuple, g: tuple) -> tuple:
-    df, dg = _pden(f), _pden(g)
-    return _pconv(df * dg, (_pnums(f, df), _pnums(g, dg)))
+    (fs, df), (gs, dg) = _clear(f), _clear(g)
+    return _pconv(df * dg, (fs, gs))
 
 
 def _pscale(f: tuple, c: Fraction) -> tuple:
@@ -247,8 +253,8 @@ def _pseudo_divmod(fs: list[int], gs: list[int]) -> tuple[list[int], list[int], 
 def _pdivmod(f: tuple, g: tuple) -> tuple[tuple, tuple]:
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
-    df, dg = _pden(f), _pden(g)
-    q, r, m = _pseudo_divmod(_pnums(f, df), _pnums(g, dg))
+    (fs, df), (gs, dg) = _clear(f), _clear(g)
+    q, r, m = _pseudo_divmod(fs, gs)
     # f = (q*g + r) / (m*df) once g is read as its numerators over dg
     den = m * df
     return tuple([Fraction(c * dg, den) for c in q]), tuple([Fraction(c, den) for c in _ptrim(r)])
@@ -256,7 +262,7 @@ def _pdivmod(f: tuple, g: tuple) -> tuple[tuple, tuple]:
 
 def _pgcd(f: tuple, g: tuple) -> tuple:
     """Monic gcd, from the primitive remainder sequence of the numerators."""
-    fs, gs = _pnums(f, _pden(f)), _pnums(g, _pden(g))
+    fs, gs = _clear(f)[0], _clear(g)[0]
     while gs:
         r = _ptrim(_pseudo_divmod(fs, gs)[1])
         cont = _int_gcd(*r) or 1
@@ -467,6 +473,12 @@ class RingDescriptor:
         a, b, c, d = x
         return self.sub(self.mul(a, d), self.mul(b, c))
 
+    def cleared(self, terms):
+        """(domain, int_terms, scales) with term i of the iterable of raw
+        4-tuples equal to int_terms[i] / scales[i], int_terms[i] raw over the
+        subring domain; here (self, terms, None), nothing cleared."""
+        return self, terms, None
+
     # ring structure: the defaults are the field rules ----------------------
     def egcd(self, a, b):
         """(g, u, v) with a*u + b*v = g, g a canonical gcd associate.
@@ -650,19 +662,23 @@ class RationalRing(RingDescriptor):
         return a
 
     def mat_mul(self, x, y):
-        dx, dy = _pden(x), _pden(y)
+        (xs, dx), (ys, dy) = _clear(x), _clear(y)
         den = dx * dy
-        return tuple([Fraction(n, den) for n in _imat_mul(_pnums(x, dx), _pnums(y, dy))])
+        return tuple([Fraction(n, den) for n in _imat_mul(xs, ys)])
 
     def mat_det(self, x):
-        den = _pden(x)
-        a, b, c, d = _pnums(x, den)
+        (a, b, c, d), den = _clear(x)
         return Fraction(a * d - b * c, den * den)
+
+    def cleared(self, terms):
+        """Each term over Z, times the lcm of its denominators."""
+        pairs = [_clear(t) for t in terms]
+        return Z, [ns for ns, _ in pairs], [den for _, den in pairs]
 
     def primitive(self, vals):
         """Coprime integers (Q is the fraction field of Z), first nonzero
         entry positive."""
-        return tuple(Fraction(n) for n in _int_primitive(_pnums(vals, _pden(vals))))
+        return tuple(Fraction(n) for n in _int_primitive(_clear(vals)[0]))
 
     def adjoin_sqrt(self, a):
         d = squarefree_part(a)

@@ -33,7 +33,7 @@ from .errors import (
     RingMismatch,
     UnsupportedRing,
 )
-from .invariants import drensky_s, trace_word
+from .invariants import drensky_s, sigma_explicit, trace_word
 from .matcore import GroupElement, Mat2, MatSeq, subsequence
 from .rings import (
     RingDescriptor,
@@ -151,6 +151,7 @@ def are_similar(s1: MatSeq, s2: MatSeq) -> SimilarityWitness | None:
 
     Over Z and Q[t] similarity is decided in the fraction field; the witness
     may then have a non-unit determinant (see :class:`SimilarityWitness`).
+    Over Q it is decided over Z on the terms cleared by ``ring.cleared``.
     The witness is a primitive point (``ring.primitive``): for a
     non-commutative s1 that of the one line of intertwiners, for a
     commutative one that of g0 (see :func:`_anchor_intertwiner`).
@@ -159,6 +160,25 @@ def are_similar(s1: MatSeq, s2: MatSeq) -> SimilarityWitness | None:
         raise RingMismatch(f"{s1.ring!r} vs {s2.ring!r}")
     if s1.n != s2.n:
         raise LengthMismatch(f"lengths {s1.n} and {s2.n}")
+    ring = s1.ring
+    domain, xs, ds = ring.cleared(t.raw for t in s1.terms)
+    if domain is ring:
+        return _similar(s1, s2)
+    # g s1_i = s2_i g, with s1_i = xs_i/ds_i and s2_i = ys_i/es_i, exactly
+    # when g (es_i xs_i) = (ds_i ys_i) g; both terms of a pair scale by one
+    # factor, so the primitive witness does not change
+    _, ys, es = ring.cleared(t.raw for t in s2.terms)
+    w = _similar(_scaled(domain, xs, es), _scaled(domain, ys, ds))
+    return None if w is None else SimilarityWitness(Mat2._of(ring, map(ring.coerce, w.m.raw)))
+
+
+def _scaled(ring: RingDescriptor, terms, factors) -> MatSeq:
+    mul = ring.mul
+    return MatSeq(Mat2._of(ring, [mul(x, f) for x in t]) for t, f in zip(terms, factors))
+
+
+def _similar(s1: MatSeq, s2: MatSeq) -> SimilarityWitness | None:
+    """:func:`are_similar` on two sequences of one ring and length."""
     ring = s1.ring
     for a, b in zip(s1.terms, s2.terms):
         if a.trace() != b.trace() or a.det() != b.det():
@@ -314,13 +334,13 @@ def phi_prime(s: MatSeq) -> PhiVector:
 
 
 def in_phi_domain(s: MatSeq) -> bool:
-    """Whether phi_prime separates here: semisimple, first term diagonalizable
-    over the closure, first pair non-commuting."""
+    """Whether phi_prime separates here: characteristic != 2, n >= 2 and
+    sigma(A1, A2) != 0.  Then I, A1, A2, A1 A2 are a basis of M2 with a
+    nondegenerate trace form, so the traces fix the pair up to conjugation
+    and every later term by its coordinates; s is stable, so semisimple."""
     if s.n < 2 or s.ring.characteristic() == 2:
         return False
-    return (is_semisimple(s)
-            and not s[0].disc().is_zero()
-            and not commutes(s[0], s[1]))
+    return not sigma_explicit(s[0], s[1]).is_zero()
 
 
 def psi_prime(s: MatSeq) -> PsiValue:

@@ -155,7 +155,9 @@ def first_obstruction(s: MatSeq) -> tuple[int, ...] | None:
 
 class Profile:
     """A sequence with its maximal reduction and first obstruction, each
-    computed on first use and then shared by every decider given it."""
+    computed on first use and then shared by every decider given it, on the
+    terms of ``ring.cleared``: scaling a term changes neither its commuting
+    class nor whether a sigma or Delta vanishes."""
 
     def __init__(self, s: MatSeq):
         self.seq = s
@@ -166,12 +168,18 @@ class Profile:
         return s if isinstance(s, Profile) else cls(s)
 
     @cached_property
+    def _cleared(self) -> MatSeq:
+        ring = self.seq.ring
+        domain, terms, _ = ring.cleared(t.raw for t in self.seq.terms)
+        return self.seq if domain is ring else MatSeq(Mat2._of(domain, t) for t in terms)
+
+    @cached_property
     def reduction(self) -> ReductionInfo:
-        return maximal_reduction(self.seq)
+        return maximal_reduction(self._cleared)
 
     @cached_property
     def obstruction(self) -> tuple[int, ...] | None:
-        return first_obstruction(self.seq)
+        return first_obstruction(self._cleared)
 
 
 def is_commutative(s: MatSeq | Profile) -> bool:
@@ -270,21 +278,25 @@ def pair_triangularizable(x: Mat2, y: Mat2) -> bool:
 
 
 def is_triangularizable(s: MatSeq | Profile) -> bool:
-    """Full criterion: all sigma and Delta obstructions vanish and every
-    term is individually triangularizable over the ring."""
+    """Full criterion: no sigma or Delta obstruction, and the first non-scalar
+    term A triangularizable over the ring.  Without an obstruction the terms
+    share an eigenvector of A over the closure; it lies over the fraction
+    field exactly when A's eigenvalues do, and then so does every term's
+    eigenvalue on it (integral over Z and Q[t], which are integrally closed)."""
     p = Profile.of(s)
     if p.obstruction is not None:
         return False
-    return all(map(_singlet_ok, p.seq.terms))
+    kept = p.reduction.kept_indices
+    return not kept or _singlet_ok(p.seq.term(kept[0]))
 
 
 def is_triangularizable_fast(s: MatSeq | Profile) -> bool:
     """Reduction-based engine, linear in the number of sigma tests.
 
-    Reduced length 0 is trivially triangularizable; lengths up to 3 defer to
-    the full criterion on the reduced subsequence; for length l >= 4 it
-    suffices that the kept terms pass the singlet test and that
-    sigma(kept_j, kept_k) = 0 for j in {1, 2, 3} and j < k <= l.
+    Reduced length 0 is trivially triangularizable.  Otherwise every kept
+    term must pass the singlet test and the reduced subsequence must have no
+    obstruction: scanned in full up to length 3, and for length l >= 4 only
+    sigma(kept_j, kept_k) for j in {1, 2, 3} and j < k <= l.
     """
     p = Profile.of(s)
     red = p.reduction
@@ -293,11 +305,11 @@ def is_triangularizable_fast(s: MatSeq | Profile) -> bool:
         return True
     kept = [p.seq.term(i) for i in red.kept_indices]
     if l <= 3:
-        return is_triangularizable(MatSeq(kept))
-    for j in range(min(3, l)):
-        for k in range(j + 1, l):
-            if not sigma_explicit(kept[j], kept[k]).is_zero():
-                return False
+        if first_obstruction(MatSeq(kept)) is not None:
+            return False
+    elif any(not sigma_explicit(kept[j], kept[k]).is_zero()
+             for j in range(3) for k in range(j + 1, l)):
+        return False
     return all(map(_singlet_ok, kept))
 
 

@@ -44,6 +44,12 @@ def rand_scalar(rng: Random, ring: RingDescriptor, span: int = 4) -> Scalar:
     raise ValueError(f"unknown ring kind {ring.kind!r}")
 
 
+def rand_wide_fraction(rng: Random) -> Fraction:
+    """A nonzero rational whose numerator and denominator often pass 64 bits."""
+    bits = rng.choice([3, 40, 80, 130])
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 2 ** bits), rng.randint(1, 2 ** bits))
+
+
 def rand_mat(rng: Random, ring: RingDescriptor, span: int = 4) -> Mat2:
     return Mat2(*(rand_scalar(rng, ring, span) for _ in range(4)))
 

@@ -380,6 +380,21 @@ class TestErrorsAndBatch:
         assert code == 0
         assert json.loads(out[0])["similar"] is True
 
+    def test_ndjson_collects_garbage_every_thousand_lines(self, tmp_path, capsys, monkeypatch):
+        # gen-2 collections seldom run in a long ndjson child, so it runs a
+        # full one every 1,000 lines itself
+        import matseq.cli as cli
+        calls = []
+        monkeypatch.setattr(cli.gc, "collect", lambda *args: calls.append("collect"))
+        monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(cli.gc, "unfreeze", lambda: calls.append("unfreeze"))
+        doc = {"ring": {"kind": "Q"}, "matrices": [[[1, 0], [0, 1]]]}
+        path = tmp_path / "batch.ndjson"
+        path.write_text((json.dumps(doc) + "\n") * 2_000)
+        assert main(["classify", str(path), "--ndjson"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2_000
+        assert calls == ["freeze", "collect", "collect", "unfreeze"]
+
     def test_console_entry_raises_system_exit(self, tmp_path, capsys):
         from matseq.cli import console_main
         f = write(tmp_path, "s.json", UPPER_Q)

@@ -57,6 +57,7 @@ from genseq import (
     rand_seq,
     rand_triangularizable_seq,
     rand_upper_seq,
+    rand_wide_fraction,
 )
 
 OBSTRUCTED_TRIPLE = [[[1, 0], [0, 0]], [[1, 1], [0, 0]], [[0, 0], [1, 1]]]
@@ -563,6 +564,35 @@ class TestPhiPrime:
         # commuting pair is outside the guaranteed-injectivity domain
         assert not in_phi_domain(seq(Q, [[[1, 0], [0, 2]], [[3, 0], [0, 4]]]))
 
+    def test_sigma_zero_pair_is_outside_the_domain(self):
+        # stable, semisimple and disc(A1) != 0, with one phi vector, but
+        # sigma(A1, A2) = 0 and det A3 is 0 in one and -1 in the other
+        s1 = seq(Q, [[[1, 0], [0, 0]], [[0, 0], [1, 0]], [[0, 1], [0, 0]]])
+        s2 = seq(Q, [[[1, 0], [0, 0]], [[0, 0], [1, 0]], [[0, 1], [1, 0]]])
+        assert is_stable(s1) and is_stable(s2)
+        assert phi_prime(s1) == phi_prime(s2)
+        assert are_similar(s1, s2) is None
+        assert not in_phi_domain(s1) and not in_phi_domain(s2)
+
+    def test_phi_separates_on_a_gf3_sample(self):
+        # in the domain the stabilizer of (A1, A2) is the scalars, so among
+        # the (A1, A2, X) only X = A3 shares phi with s; conjugates share it
+        # and are similar (scripts/phi_domain_gf3.py checks every triple)
+        ring = GF(3)
+        mats = [Mat2(*(ring(v) for v in (a, b, c, d)))
+                for a in range(3) for b in range(3) for c in range(3) for d in range(3)]
+        rng = random.Random(20261020)
+        tested = 0
+        while tested < 12:
+            s = MatSeq(rng.choice(mats) for _ in range(3))
+            if not in_phi_domain(s):
+                continue
+            v = phi_prime(s)
+            assert [x for x in mats if phi_prime(MatSeq([s[0], s[1], x])) == v] == [s[2]], s
+            t = conjugate(rand_group_element(rng, ring), s)
+            assert in_phi_domain(t) and phi_prime(t) == v and are_similar(s, t) is not None
+            tested += 1
+
 
 class TestPsiPrime:
     def test_worked_triple(self):
@@ -611,3 +641,69 @@ class TestPsiPrime:
         s = seq(Q, [[[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 2], [0, 1]]])
         v = psi_prime(s)
         assert PsiValue.from_json(v.to_json()) == v
+
+
+def _widening(rng, s):
+    """A map u -> (y_i u_i + x_i I) with wide rationals x_i and y_i != 0:
+    it keeps similarity between two sequences of the length of s, and gives
+    each term its own denominators."""
+    one = Mat2.identity(s.ring)
+    xy = [(Q(rand_wide_fraction(rng)), Q(rand_wide_fraction(rng))) for _ in s.terms]
+    return lambda u: MatSeq(t.scale(y) + one.scale(x) for t, (x, y) in zip(u.terms, xy))
+
+
+class TestClearedSimilarity:
+    """Over Q, are_similar decides over Z on the cleared terms and maps the
+    primitive witness back; _similar is the uncleared path on the Q terms."""
+
+    def _cases(self, rng):
+        z, one = Q.zero(), Q.one()
+        for i in range(160):
+            kind = i % 5
+            if kind == 0:                      # conjugates, some perturbed
+                s1 = rand_seq(rng, Q, rng.randint(2, 4))
+                s2 = conjugate(rand_group_element(rng, Q, steps=2), s1)
+                if rng.random() < 0.5:
+                    terms = list(s2.terms)
+                    k = rng.randrange(s1.n)
+                    terms[k] = _conj(rand_group_element(rng, Q, steps=2), terms[k])
+                    s2 = MatSeq(terms)
+            elif kind == 1:                    # eflip partners
+                s1 = rand_upper_seq(rng, Q, rng.randint(2, 4))
+                s2 = eflip(s1)
+            elif kind == 2:                    # commutative: polynomials in one A
+                a = rand_mat(rng, Q)
+                s1 = MatSeq(a.scale(rand_scalar(rng, Q))
+                            + Mat2.identity(Q).scale(rand_scalar(rng, Q))
+                            for _ in range(rng.randint(1, 4)))
+                s2 = conjugate(rand_group_element(rng, Q, steps=2), s1)
+                if rng.random() < 0.5:
+                    s2 = MatSeq(list(s2.terms[:-1]) + [s2.terms[-1] + Mat2(z, one, z, z)])
+            elif kind == 3:                    # scalar sequences, equal or not
+                s1 = MatSeq(Mat2.identity(Q).scale(rand_scalar(rng, Q)) for _ in range(3))
+                s2 = s1 if rng.random() < 0.5 else MatSeq(
+                    Mat2.identity(Q).scale(rand_scalar(rng, Q)) for _ in range(3))
+            else:                              # conjugates by a wide g
+                s1 = rand_seq(rng, Q, rng.randint(2, 4))
+                while True:
+                    g = Mat2(*(Q(rand_wide_fraction(rng)) for _ in range(4)))
+                    if not g.det().is_zero():
+                        break
+                s2 = conjugate(GroupElement(g), s1)
+            widen = _widening(rng, s1)
+            yield widen(s1), widen(s2)
+
+    def test_matches_uncleared_path(self):
+        from matseq.similarity import _similar
+        rng = random.Random(20261021)
+        found = missed = 0
+        for s1, s2 in self._cases(rng):
+            w, ref = are_similar(s1, s2), _similar(s1, s2)
+            assert (None if w is None else w.m) == (None if ref is None else ref.m), (s1, s2)
+            if w is None:
+                missed += 1
+            else:
+                found += 1
+                assert w.m.ring == Q
+                assert w.apply(s1).terms == s2.terms
+        assert found >= 40 and missed >= 40, (found, missed)

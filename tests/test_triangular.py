@@ -47,6 +47,7 @@ from genseq import (
     rand_seq,
     rand_triangularizable_seq,
     rand_upper_seq,
+    rand_wide_fraction,
 )
 
 # All pair obstructions vanish but the triple obstruction does not.
@@ -481,3 +482,82 @@ class TestMaximalReductionReference:
             for u in (s, scalar, one_class):
                 want = all(commutes(x, y) for x, y in combinations(u.terms, 2))
                 assert is_commutative(u) == is_commutative(Profile(u)) == want, u
+
+
+def _widened(rng, s):
+    """Each term y t + x I with wide rationals x, y, y != 0, or now and then
+    a wide scalar: commuting classes, sigma != 0 and Delta != 0 are kept,
+    denominators differ from term to term."""
+    ring, one = s.ring, Mat2.identity(s.ring)
+    terms = []
+    for t in s.terms:
+        x = one.scale(ring(rand_wide_fraction(rng) if rng.random() < 0.7 else 0))
+        terms.append(x if rng.random() < 0.15 else t.scale(ring(rand_wide_fraction(rng))) + x)
+    return MatSeq(terms)
+
+
+class TestClearedProfile:
+    def test_profile_matches_uncleared_scans_over_q(self):
+        rng = random.Random(20261020)
+        kinds = {None: 0, 2: 0, 3: 0}
+        for i in range(150):
+            u = i % 3
+            if u == 0:
+                s = rand_seq(rng, Q, rng.randint(1, 6), span=3)
+            elif u == 1:
+                s = rand_triangularizable_seq(rng, Q, rng.randint(1, 6))
+            else:
+                s = _stable_1c_mix(rng, Q, rng.randint(0, 3))
+            s = _widened(rng, s)
+            p = Profile(s)
+            assert p.reduction == maximal_reduction(s), s
+            assert p.obstruction == first_obstruction(s), s
+            kinds[None if p.obstruction is None else len(p.obstruction)] += 1
+        assert all(v >= 10 for v in kinds.values()), kinds
+
+
+def _all_singlets(s):
+    """Reference: no obstruction, and every term passes the singlet test."""
+    return first_obstruction(s) is None and all(
+        m.is_upper_triangular() or eigenvalues_in_ring(m) is not None for m in s.terms)
+
+
+class TestOneSinglet:
+    """After a clean obstruction scan the first non-scalar term's singlet
+    decides, for every term: the terms share an eigenvector of that one."""
+
+    @pytest.mark.parametrize("ring", [Z, Q, GF(2), GF(3), GF(5), QSqrt(2), QT], ids=repr)
+    def test_matches_all_singlets_on_obstruction_free_sequences(self, ring):
+        rng = random.Random(f"one-singlet-{ring!r}")
+        verdicts = {True: 0, False: 0}
+        for i in range(120):
+            n = rng.randint(1, 5)
+            if i % 3 == 0:
+                s = rand_triangularizable_seq(rng, ring, n)
+            else:
+                # scalar terms among polynomials in one A, which often has
+                # no eigenvalues in the ring
+                a = rand_mat(rng, ring, 3)
+                s = MatSeq([_scalars(rng, ring, 1)[0] if rng.random() < 0.3
+                            else a.scale(rand_scalar(rng, ring, 3))
+                            + Mat2.identity(ring).scale(rand_scalar(rng, ring, 3))
+                            for _ in range(n)])
+            if ring == Q:
+                s = _widened(rng, s)
+            if first_obstruction(s) is not None:
+                continue
+            want = _all_singlets(s)
+            assert is_triangularizable(s) == want, s
+            verdicts[want] += 1
+        assert verdicts[True] >= 10 and verdicts[False] >= 3, verdicts
+
+    def test_gf2_triples_exhaustive(self):
+        ring = GF(2)
+        mats = [Mat2(*(ring(v) for v in (a, b, c, d)))
+                for a in range(2) for b in range(2) for c in range(2) for d in range(2)]
+        for x in mats:
+            for y in mats:
+                for z in mats:
+                    s = MatSeq([x, y, z])
+                    if first_obstruction(s) is None:
+                        assert is_triangularizable(s) == _all_singlets(s), s
