@@ -31,6 +31,7 @@ SEQUENCE_VERBS = (
     ["tri", "--method", "construct", "--verify"],
     ["classify"],
     ["canon"],
+    ["invariants"],
     ["invariants", "--phi"],
     ["invariants", "--psi"],
 )

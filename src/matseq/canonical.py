@@ -107,32 +107,41 @@ def _front_perm(front: tuple[int, ...], n: int) -> tuple[int, ...]:
 # classification
 
 
-def classify(s: MatSeq | Profile) -> CanonicalTag:
-    """The canonical-form case of s (deterministic, conjugation-invariant)."""
-    p = Profile.of(s)
+def _case(p: Profile) -> tuple[CanonicalTag, tuple[int, ...]]:
+    """The canonical-form case of p and the 0-based terms its form puts
+    first (none when commutative), from one set of discriminant tests."""
     s = p.seq
     if not s.ring.is_field:
         raise UnsupportedRing("canonical forms are computed over fields")
-    if is_commutative(p):
-        kept = p.reduction.kept_indices
+    kept = [i - 1 for i in p.reduction.kept_indices]
+    if len(kept) <= 1:
         if not kept:
-            return CanonicalTag.ALL_SCALAR
-        if s.term(kept[0]).disc().is_zero():
-            return CanonicalTag.COMM_JORDAN_LIKE
-        return CanonicalTag.COMM_DIAGONAL
+            return CanonicalTag.ALL_SCALAR, ()
+        if s[kept[0]].disc().is_zero():
+            return CanonicalTag.COMM_JORDAN_LIKE, ()
+        return CanonicalTag.COMM_DIAGONAL, ()
     if s.ring.characteristic() == 2:
         raise Char2Unsupported("non-commutative canonical forms need characteristic != 2")
     obstruction = p.obstruction
     if obstruction is None:
-        if any(s.term(i).disc().is_zero() for i in p.reduction.kept_indices):
-            return CanonicalTag.TRI_2B
-        return CanonicalTag.TRI_2A
+        flat = next((i for i in kept if s[i].disc().is_zero()), None)
+        if flat is None:
+            return CanonicalTag.TRI_2A, (kept[0], kept[1])
+        return CanonicalTag.TRI_2B, (next(i for i in kept if not s[i].disc().is_zero()), flat)
     if len(obstruction) == 3:
-        return CanonicalTag.STABLE_1C
+        return CanonicalTag.STABLE_1C, obstruction
     j, k = obstruction
-    if s[j].disc().is_zero() and s[k].disc().is_zero():
-        return CanonicalTag.STABLE_1B
-    return CanonicalTag.STABLE_1A
+    if not s[j].disc().is_zero():
+        return CanonicalTag.STABLE_1A, (j, k)
+    if s[k].disc().is_zero():
+        return CanonicalTag.STABLE_1B, (j, k)
+    # the diagonalizable member of the pair goes first
+    return CanonicalTag.STABLE_1A, (k, j)
+
+
+def classify(s: MatSeq | Profile) -> CanonicalTag:
+    """The canonical-form case of s (deterministic, conjugation-invariant)."""
+    return _case(Profile.of(s))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -215,36 +224,24 @@ def _unit_b2(tag: CanonicalTag, perm: tuple[int, ...], t: MatSeq, g1: GroupEleme
 # canonicalize, case by case
 
 
-def _canon_comm_diagonal(p: Profile) -> CanonicalResult:
-    form, g, ext = _eigenbasis(p.seq, p.reduction.kept_indices[0] - 1)
-    if not all(t.is_diagonal() for t in form.terms):
-        raise InternalInconsistency("commuting terms did not diagonalize together")
-    return CanonicalResult(CanonicalTag.COMM_DIAGONAL, _identity_perm(p.seq.n), form, g, ext)
+def _canon_commutative(s: MatSeq, tag: CanonicalTag, k: int) -> CanonicalResult:
+    """CommDiagonal onto the eigenbasis of the anchor s[k], CommJordanLike
+    onto its Jordan basis; the terms keep their order."""
+    if tag is CanonicalTag.COMM_DIAGONAL:
+        form, g, ext = _eigenbasis(s, k)
+        if not all(t.is_diagonal() for t in form.terms):
+            raise InternalInconsistency("commuting terms did not diagonalize together")
+    else:
+        g, _ = _jordanizer(s[k])
+        form, ext = conjugate(g, s), None
+        if not all(t.is_upper_triangular() and t.e.is_zero() for t in form.terms):
+            raise InternalInconsistency("commuting terms did not reach the Jordan-like form")
+    return CanonicalResult(tag, _identity_perm(s.n), form, g, ext)
 
 
-def _canon_comm_jordan(p: Profile) -> CanonicalResult:
-    g, _ = _jordanizer(p.seq.term(p.reduction.kept_indices[0]))
-    form = conjugate(g, p.seq)
-    if not all(t.is_upper_triangular() and t.e.is_zero() for t in form.terms):
-        raise InternalInconsistency("commuting terms did not reach the Jordan-like form")
-    return CanonicalResult(CanonicalTag.COMM_JORDAN_LIKE, _identity_perm(p.seq.n), form, g, None)
-
-
-def _canon_stable_1a(p: Profile) -> CanonicalResult:
-    s = p.seq
-    j, k = p.obstruction
-    if s[j].disc().is_zero():
-        j, k = k, j
-    perm = _front_perm((j, k), s.n)
-    t, g1, ext = _eigenbasis(s.permuted(perm))
-    if t[1].b.is_zero() or t[1].c.is_zero():
-        raise InternalInconsistency("nonzero pair obstruction with a triangular second term")
-    return _unit_b2(CanonicalTag.STABLE_1A, perm, t, g1, ext)
-
-
-def _canon_stable_1b(p: Profile) -> CanonicalResult:
-    perm = _front_perm(p.obstruction, p.seq.n)
-    sp = p.seq.permuted(perm)
+def _canon_stable_1b(s: MatSeq, front: tuple[int, ...]) -> CanonicalResult:
+    perm = _front_perm(front, s.n)
+    sp = s.permuted(perm)
     g1, _ = _jordanizer(sp[0])
     t = conjugate(g1, sp)
     a2 = t[1]
@@ -272,32 +269,26 @@ def _canon_stable_1b(p: Profile) -> CanonicalResult:
     return CanonicalResult(CanonicalTag.STABLE_1B, perm, form, g, ext)
 
 
-def _canon_stable_1c(p: Profile) -> CanonicalResult:
-    perm = _front_perm(p.obstruction, p.seq.n)
-    # the eigenline shared with the second term goes first (second term upper)
-    t, g1, ext = _eigenbasis(p.seq.permuted(perm), shared=2)
-    if not t[1].c.is_zero() or t[1].b.is_zero():
-        raise InternalInconsistency("second term did not become strictly upper")
-    if not t[2].b.is_zero() or t[2].c.is_zero():
-        raise InternalInconsistency("third term is not strictly lower")
-    return _unit_b2(CanonicalTag.STABLE_1C, perm, t, g1, ext)
-
-
-def _canon_triangular(p: Profile, tag: CanonicalTag) -> CanonicalResult:
-    s = p.seq
-    kept = [i - 1 for i in p.reduction.kept_indices]
-    if tag is CanonicalTag.TRI_2B:
-        kk = next(i for i in kept if s[i].disc().is_zero())
-        jj = next(i for i in kept if not s[i].disc().is_zero())
+def _canon_eigenbasis(s: MatSeq, tag: CanonicalTag, front: tuple[int, ...]) -> CanonicalResult:
+    """Stable1a, Stable1c, Tri2a, Tri2b: onto the eigenbasis of the leading
+    term, first its eigenline shared with no other term, the leading pair
+    (Stable1c) or every term (Tri2a/b), then b2 = 1."""
+    perm = _front_perm(front, s.n)
+    shared = {CanonicalTag.STABLE_1A: 0, CanonicalTag.STABLE_1C: 2}.get(tag, s.n)
+    t, g1, ext = _eigenbasis(s.permuted(perm), shared=shared)
+    if tag is CanonicalTag.STABLE_1A:
+        if t[1].b.is_zero() or t[1].c.is_zero():
+            raise InternalInconsistency("nonzero pair obstruction with a triangular second term")
+    elif tag is CanonicalTag.STABLE_1C:
+        if not t[1].c.is_zero() or t[1].b.is_zero():
+            raise InternalInconsistency("second term did not become strictly upper")
+        if not t[2].b.is_zero() or t[2].c.is_zero():
+            raise InternalInconsistency("third term is not strictly lower")
     else:
-        jj, kk = kept[0], kept[1]
-    perm = _front_perm((jj, kk), s.n)
-    # the eigenline common to the whole sequence goes first
-    t, g1, ext = _eigenbasis(s.permuted(perm), shared=s.n)
-    if not all(m.is_upper_triangular() for m in t.terms):
-        raise InternalInconsistency("sequence did not become upper triangular")
-    if t[1].b.is_zero():
-        raise InternalInconsistency("second kept term commutes with the first")
+        if not all(m.is_upper_triangular() for m in t.terms):
+            raise InternalInconsistency("sequence did not become upper triangular")
+        if t[1].b.is_zero():
+            raise InternalInconsistency("second kept term commutes with the first")
     return _unit_b2(tag, perm, t, g1, ext)
 
 
@@ -305,21 +296,15 @@ def canonicalize(s: MatSeq | Profile) -> CanonicalResult:
     """Conjugate s (after a deterministic rearrangement) onto the canonical
     representative of its orbit; at most one quadratic extension is adjoined."""
     p = Profile.of(s)
-    tag = classify(p)
+    tag, front = _case(p)
     if tag is CanonicalTag.ALL_SCALAR:
         return CanonicalResult(tag, _identity_perm(p.seq.n), p.seq,
                                GroupElement.identity(p.seq.ring), None)
-    if tag is CanonicalTag.COMM_DIAGONAL:
-        return _canon_comm_diagonal(p)
-    if tag is CanonicalTag.COMM_JORDAN_LIKE:
-        return _canon_comm_jordan(p)
-    if tag is CanonicalTag.STABLE_1A:
-        return _canon_stable_1a(p)
+    if tag in (CanonicalTag.COMM_DIAGONAL, CanonicalTag.COMM_JORDAN_LIKE):
+        return _canon_commutative(p.seq, tag, p.reduction.kept_indices[0] - 1)
     if tag is CanonicalTag.STABLE_1B:
-        return _canon_stable_1b(p)
-    if tag is CanonicalTag.STABLE_1C:
-        return _canon_stable_1c(p)
-    return _canon_triangular(p, tag)
+        return _canon_stable_1b(p.seq, front)
+    return _canon_eigenbasis(p.seq, tag, front)
 
 
 # ---------------------------------------------------------------------------
@@ -505,10 +490,10 @@ def desingularize_for_reconstruction(s: MatSeq | Profile) -> tuple[MatSeq, Desin
     semisimple reconstruction domain (first term diagonalizable over the
     closure, first pair non-commuting)."""
     p = Profile.of(s)
-    tag = classify(p)
+    tag, front = _case(p)
     if tag not in (CanonicalTag.STABLE_1B, CanonicalTag.STABLE_1C):
         raise NotApplicable(f"desingularization applies to Stable1b/Stable1c, not {tag.value}")
-    perm = _front_perm(p.obstruction, p.seq.n)
+    perm = _front_perm(front, p.seq.n)
     sp = p.seq.permuted(perm)
     if tag is CanonicalTag.STABLE_1B:
         out = MatSeq([sp[0] - sp[1], sp[0] + sp[1], *sp.terms[2:]])

@@ -8,7 +8,9 @@ For terms A, B, C of a sequence:
 
 ``sigma`` and ``big_delta`` are implemented by these defining expressions;
 the closed forms in entry vectors and the Gram-matrix expressions are
-provided separately so tests can confirm they agree.  The ``drensky_*``
+provided separately so tests can confirm they agree.  The closed forms wrap
+the raw entry-vector kernel defined here, which commuting, the obstruction
+scan and ``are_similar`` read too.  The ``drensky_*``
 functions expose the trace-algebra generators u_jk = 2 t_jk - t_j t_k and
 s_jkl = t_jkl - t_lkj together with the two relations they satisfy.
 """
@@ -28,6 +30,55 @@ MAX_TRACE_WORDS = 50_000
 def _require_odd_char(ring, what: str) -> None:
     if ring.characteristic() == 2:
         raise Char2Unsupported(f"{what} requires characteristic != 2")
+
+
+# ---------------------------------------------------------------------------
+# the raw entry-vector kernel: v = (b, a - d, c) on raw ring values
+
+
+def _vector(m: Mat2) -> tuple:
+    """The raw entry vector (b, a - d, c) of m."""
+    return (m.b.value, m.ring.sub(m.a.value, m.d.value), m.c.value)
+
+
+def _vanish(ring, xs) -> bool:
+    """Every raw value in xs is zero."""
+    return all(ring.is_zero(x) for x in xs)
+
+
+def _minors(ring, u: tuple, v: tuple) -> tuple:
+    """The 2x2 minors (p, q, r) of the raw 2x3 matrix (u; v), named as in
+    ``sigma_explicit``: p = b_u e_v - e_u b_v, q = c_u e_v - e_u c_v,
+    r = b_u c_v - c_u b_v.  All vanish exactly when u and v are proportional."""
+    mul, sub = ring.mul, ring.sub
+    return (sub(mul(u[0], v[1]), mul(u[1], v[0])),
+            sub(mul(u[2], v[1]), mul(u[1], v[2])),
+            sub(mul(u[0], v[2]), mul(u[2], v[0])))
+
+
+def _sigma_of_minors(ring, m: tuple):
+    """sigma = p q - r^2 from the minors of the two entry vectors."""
+    p, q, r = m
+    return ring.sub(ring.mul(p, q), ring.mul(r, r))
+
+
+def _det_against(ring, m: tuple, w: tuple):
+    """det [u v w] from the minors m = (p, q, r) of (u; v): w_c p - w_b q - w_e r."""
+    p, q, r = m
+    return ring.sub(ring.mul(w[2], p), ring.add(ring.mul(w[0], q), ring.mul(w[1], r)))
+
+
+def _greedy_pair(ring, vs) -> tuple[int | None, int | None, tuple | None]:
+    """(a, b, minors of (v_a; v_b)) for the raw entry vectors vs, None where
+    missing: a the first nonzero vector (the first non-scalar term), b the
+    first later one not proportional to v_a (not commuting with term a)."""
+    a = next((i for i, v in enumerate(vs) if not _vanish(ring, v)), None)
+    if a is not None:
+        for b in range(a + 1, len(vs)):
+            m = _minors(ring, vs[a], vs[b])
+            if not _vanish(ring, m):
+                return a, b, m
+    return a, None, None
 
 
 def trace_word(s: MatSeq, indices: Sequence[int]) -> Scalar:
@@ -62,10 +113,8 @@ def sigma_explicit(x: Mat2, y: Mat2) -> Scalar:
     """det [x, y] in entry vectors:
     (b_x e_y - e_x b_y)(c_x e_y - e_x c_y) - (b_x c_y - c_x b_y)^2.
     """
-    p = x.b * y.e - x.e * y.b
-    q = x.c * y.e - x.e * y.c
-    r = x.b * y.c - x.c * y.b
-    return p * q - r * r
+    ring = x._ring_with(y)
+    return Scalar(ring, _sigma_of_minors(ring, _minors(ring, _vector(x), _vector(y))))
 
 
 def sigma_from_tau(x: Mat2, y: Mat2) -> Scalar:
@@ -90,10 +139,10 @@ def big_delta(x: Mat2, y: Mat2, z: Mat2) -> Scalar:
 
 def big_delta_explicit(x: Mat2, y: Mat2, z: Mat2) -> Scalar:
     """The squared 3x3 determinant with columns (b_j, e_j, c_j)."""
-    det = _det3([[x.b, y.b, z.b],
-                 [x.e, y.e, z.e],
-                 [x.c, y.c, z.c]])
-    return det * det
+    ring = x._ring_with(y)
+    y._ring_with(z)
+    det = _det_against(ring, _minors(ring, _vector(x), _vector(y)), _vector(z))
+    return Scalar(ring, ring.mul(det, det))
 
 
 def big_delta_from_gram(x: Mat2, y: Mat2, z: Mat2) -> Scalar:

@@ -984,6 +984,13 @@ def ring_to_json(ring: RingDescriptor) -> dict:
     return ring.to_json()
 
 
+def _int_from_json(x, what: str) -> int:
+    """x as an integer: a JSON integer or a digit string, never a bool or a float."""
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return int(x)
+
+
 def ring_from_json(obj) -> RingDescriptor:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError(f"bad ring descriptor: {obj!r}")
@@ -995,10 +1002,7 @@ def ring_from_json(obj) -> RingDescriptor:
     if kind == "Qt":
         return QT
     if kind == "GF":
-        p = obj["p"]
-        if isinstance(p, bool) or not isinstance(p, (int, str)):
-            raise ValueError(f"GF modulus must be an integer, got {p!r}")
-        return GF(int(p))
+        return GF(_int_from_json(obj["p"], "GF modulus"))
     if kind == "Qsqrt":
         return QSqrt(obj["d"])
     raise ValueError(f"unknown ring kind: {kind!r}")

@@ -33,11 +33,12 @@ from .errors import (
     RingMismatch,
     UnsupportedRing,
 )
-from .invariants import drensky_s, sigma_explicit, trace_word
+from .invariants import _greedy_pair, _vector, drensky_s, sigma_explicit, trace_word
 from .matcore import GroupElement, Mat2, MatSeq, subsequence
 from .rings import (
     RingDescriptor,
     Scalar,
+    _int_from_json,
     primitive_vector,
     ring_from_json,
     ring_to_json,
@@ -75,22 +76,6 @@ class SimilarityWitness:
 
 # ---------------------------------------------------------------------------
 # similarity
-
-
-def _first_noncommuting_pair(s: MatSeq) -> tuple[int, int] | None:
-    """The lexicographically first 0-based pair of terms that do not commute.
-
-    Scalar terms commute with everything, and the centralizer of a
-    non-scalar 2x2 matrix is commutative, so if every term commutes with the
-    first non-scalar term j, all pairs commute; one pass finds the pair.
-    """
-    j = next((i for i, t in enumerate(s.terms) if not t.is_scalar()), None)
-    if j is None:
-        return None
-    for k in range(j + 1, s.n):
-        if not commutes(s[j], s[k]):
-            return (j, k)
-    return None
 
 
 def _cyclic_basis(x: Mat2) -> Mat2:
@@ -184,15 +169,14 @@ def _similar(s1: MatSeq, s2: MatSeq) -> SimilarityWitness | None:
         if a.trace() != b.trace() or a.det() != b.det():
             return None
 
-    pair = _first_noncommuting_pair(s1)
-    if pair is not None:
-        j, k = pair
+    # j the first non-scalar term, k the first that does not commute with it
+    j, k, _ = _greedy_pair(ring, [_vector(t) for t in s1.terms])
+    if j is None:
+        # scalar sequences are similar exactly when equal
+        return SimilarityWitness(Mat2.identity(ring)) if s1 == s2 else None
+    if k is not None:
         m = _pair_intertwiner(s1[j], s1[k], s2[j], s2[k])
     else:
-        j = next((i for i, t in enumerate(s1.terms) if not t.is_scalar()), None)
-        if j is None:
-            # scalar sequences are similar exactly when equal
-            return SimilarityWitness(Mat2.identity(ring)) if s1 == s2 else None
         # every term commutes with s1[j], so with every h in its centralizer,
         # and each intertwiner g0 h of the anchor gives the same verdict
         g0 = _anchor_intertwiner(s1[j], s2[j])
@@ -276,7 +260,7 @@ class PhiVector:
     @classmethod
     def from_json(cls, obj) -> "PhiVector":
         ring = ring_from_json(obj["ring"])
-        n = int(obj["n"])
+        n = _int_from_json(obj["n"], "n")
         values = tuple(scalar_from_json(ring, v) for v in obj["values"])
         if len(values) != 4 * n - 3:
             raise ValueError(f"expected {4 * n - 3} values for n = {n}, got {len(values)}")
@@ -308,12 +292,15 @@ class PsiValue:
     @classmethod
     def from_json(cls, obj) -> "PsiValue":
         ring = ring_from_json(obj["ring"])
-        n = int(obj["n"])
+        n = _int_from_json(obj["n"], "n")
         traces = tuple(scalar_from_json(ring, v) for v in obj["values"])
         proj = tuple(scalar_from_json(ring, v) for v in obj["proj"])
         if len(traces) != 2 * n:
             raise ValueError(f"expected {2 * n} trace values for n = {n}")
-        return cls(ring, n, traces, proj, bool(obj.get("plucker_full", False)))
+        full = obj.get("plucker_full", False)
+        if not isinstance(full, bool):
+            raise ValueError(f"plucker_full must be a boolean, got {full!r}")
+        return cls(ring, n, traces, proj, full)
 
 
 def _require_phi_input(s: MatSeq, what: str) -> None:
@@ -377,7 +364,4 @@ def in_psi_domain(s: MatSeq) -> bool:
     non-commutative, first pair non-commuting."""
     if s.n < 2 or s.ring.characteristic() == 2:
         return False
-    p = Profile(s)
-    if is_commutative(p) or commutes(s[0], s[1]):
-        return False
-    return triangularize(p) is not None
+    return not commutes(s[0], s[1]) and triangularize(s) is not None

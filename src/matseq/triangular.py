@@ -5,7 +5,8 @@ Two non-scalar 2x2 matrices commute exactly when their entry vectors
 the non-scalar terms of a sequence.  ``maximal_reduction`` keeps the first
 term of each class; it keys each term by the canonical unit-content multiple
 of its entry vector, one pass over the terms.  Triangularizability is
-insensitive to the dropped terms.
+insensitive to the dropped terms.  The raw entry-vector kernel these rest
+on lives in ``invariants.py``, next to sigma and Delta.
 
 The full criterion: a sequence is triangularizable over its ring iff every
 term is (eigenvalues in the ring plus a unimodular eigenvector) and all pair
@@ -15,8 +16,10 @@ rank of the entry vectors: rank <= 1 has none, rank 2 has at most the pair
 of its first two independent vectors, and rank 3 scans the sigma pairs in
 order and falls back to the first independent triple.  Its cost is linear in
 the length for rank <= 2 (every triangularizable sequence) and at most
-quadratic for rank 3.  The fast engine reduces first and, for reduced
-length >= 4, only tests sigma for pairs whose smaller index is 1, 2 or 3.
+quadratic for rank 3.  ``triangularize`` decides from the :class:`Profile`
+as ``is_triangularizable`` does.  The fast engine, kept as a second engine,
+reduces first and, for reduced length >= 4, only tests sigma for pairs
+whose smaller index is 1, 2 or 3.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ExactDivisionError, InternalInconsistency
-from .invariants import sigma_explicit
+from .invariants import (_det_against, _greedy_pair, _minors, _sigma_of_minors, _vanish,
+                         _vector, sigma_explicit)
 from .matcore import GroupElement, Mat2, MatSeq, conjugate
 from .rings import Scalar, bezout, primitive_vector, sqrt_in_ring
 
@@ -59,41 +63,10 @@ class TriangularizationWitness:
     triangular: MatSeq
 
 
-def _vector(m: Mat2) -> tuple:
-    """The raw entry vector (b, a - d, c) of m."""
-    return (m.b.value, m.ring.sub(m.a.value, m.d.value), m.c.value)
-
-
-def _vanish(ring, xs) -> bool:
-    """Every raw value in xs is zero."""
-    return all(ring.is_zero(x) for x in xs)
-
-
-def _minors(ring, u: tuple, v: tuple) -> tuple:
-    """The 2x2 minors (p, q, r) of the raw 2x3 matrix (u; v), named as in
-    ``sigma_explicit``: p = b_u e_v - e_u b_v, q = c_u e_v - e_u c_v,
-    r = b_u c_v - c_u b_v.  All vanish exactly when u and v are proportional."""
-    mul, sub = ring.mul, ring.sub
-    return (sub(mul(u[0], v[1]), mul(u[1], v[0])),
-            sub(mul(u[2], v[1]), mul(u[1], v[2])),
-            sub(mul(u[0], v[2]), mul(u[2], v[0])))
-
-
-def _sigma_of_minors(ring, m: tuple):
-    """sigma = p q - r^2 from the minors of the two entry vectors."""
-    p, q, r = m
-    return ring.sub(ring.mul(p, q), ring.mul(r, r))
-
-
-def _det_against(ring, m: tuple, w: tuple):
-    """det [u v w] from the minors m = (p, q, r) of (u; v): w_c p - w_b q - w_e r."""
-    p, q, r = m
-    return ring.sub(ring.mul(w[2], p), ring.add(ring.mul(w[0], q), ring.mul(w[1], r)))
-
-
 def commutes(x: Mat2, y: Mat2) -> bool:
     """xy = yx, tested via the entry-vector minors (no matrix products)."""
-    return _vanish(x.ring, _minors(x.ring, _vector(x), _vector(y)))
+    ring = x._ring_with(y)
+    return _vanish(ring, _minors(ring, _vector(x), _vector(y)))
 
 
 def maximal_reduction(s: MatSeq) -> ReductionInfo:
@@ -118,34 +91,27 @@ def first_obstruction(s: MatSeq) -> tuple[int, ...] | None:
 
     None means the sequence is triangularizable over a one-step quadratic
     closure of its ring.  One pass finds the greedy basis of the entry
-    vectors v_i: a the first nonzero one, b the first not proportional to
-    v_a, c the first outside span(v_a, v_b).  Delta(j, k, l) is the squared
-    determinant of v_j, v_k, v_l, so every Delta vanishes below rank 3 and
-    (a, b, c) is the first triple with Delta != 0 in rank 3.  In rank 2 every
-    sigma is a squared coordinate determinant times sigma(a, b), so (a, b) is
-    the first nonzero sigma or all vanish.  Only rank 3 scans the sigma
-    pairs, in order, up to the first nonzero one.  The cost is linear in n
-    up to rank 2 and at most quadratic in rank 3.
+    vectors v_i: ``_greedy_pair`` gives a, the first nonzero one, and b, the
+    first not proportional to v_a; c is the first outside span(v_a, v_b).
+    Delta(j, k, l) is the squared determinant of v_j, v_k, v_l, so every
+    Delta vanishes below rank 3 and (a, b, c) is the first triple with
+    Delta != 0 in rank 3.  In rank 2 every sigma is a squared coordinate
+    determinant times sigma(a, b), so (a, b) is the first nonzero sigma or
+    all vanish.  Only rank 3 scans the sigma pairs, in order, up to the
+    first nonzero one.  The cost is linear in n up to rank 2 and at most
+    quadratic in rank 3.
     """
     ring = s.ring
     is_zero = ring.is_zero
     vs = [_vector(t) for t in s.terms]
-    nonzero = [i for i, v in enumerate(vs) if not _vanish(ring, v)]
-    if not nonzero:
+    a, b, ab = _greedy_pair(ring, vs)
+    if b is None:
         return None
-    a, b, c, ab = nonzero[0], None, None, None
-    for i in nonzero[1:]:
-        if b is None:
-            m = _minors(ring, vs[a], vs[i])
-            if not _vanish(ring, m):
-                b, ab = i, m
-        elif not is_zero(_det_against(ring, ab, vs[i])):
-            c = i
-            break
+    c = next((i for i in range(b + 1, len(vs))
+              if not is_zero(_det_against(ring, ab, vs[i]))), None)
     if c is None:
-        if b is None or is_zero(_sigma_of_minors(ring, ab)):
-            return None
-        return (a, b)
+        return None if is_zero(_sigma_of_minors(ring, ab)) else (a, b)
+    nonzero = [i for i, v in enumerate(vs) if not _vanish(ring, v)]
     for jj, j in enumerate(nonzero):
         for k in nonzero[jj + 1:]:
             if not is_zero(_sigma_of_minors(ring, _minors(ring, vs[j], vs[k]))):
@@ -202,15 +168,10 @@ def eigenvalues_in_ring(m: Mat2) -> tuple[Scalar, Scalar] | None:
     ring = m.ring
     t, det = m.trace(), m.det()
     if ring.characteristic() == 2:
-        roots = [x for v in range(ring.p)
-                 for x in [Scalar(ring, v)]
-                 if (x * x - t * x + det).is_zero()]
-        if not roots:
-            return None
-        if len(roots) == 1:
-            return (roots[0], roots[0])
-        roots.sort(key=lambda x: x.sort_key(), reverse=True)
-        return (roots[0], roots[1])
+        roots = sorted((x for v in range(ring.p) for x in [Scalar(ring, v)]
+                        if (x * x - t * x + det).is_zero()),
+                       key=lambda x: x.sort_key(), reverse=True)
+        return (roots[0], roots[-1]) if roots else None
     r = sqrt_in_ring(m.disc())
     if r is None:
         return None
@@ -316,21 +277,22 @@ def is_triangularizable_fast(s: MatSeq | Profile) -> bool:
 def triangularize(s: MatSeq | Profile) -> TriangularizationWitness | None:
     """A conjugator g with conjugate(g, s) upper triangular, or None.
 
-    The witness is found as a primitive common eigenvector of the terms,
-    completed to an invertible matrix by the Bezout identity.
+    Decided as by :func:`is_triangularizable`: no obstruction, and the
+    eigenvalues of the first non-scalar term (the anchor) in the ring.  The
+    witness is the primitive eigenvector of the anchor that every term
+    shares, completed to an invertible matrix by the Bezout identity.
     """
     p = Profile.of(s)
     s = p.seq
     ring = s.ring
     if s.is_upper_triangular():
         return TriangularizationWitness(GroupElement.identity(ring), s)
-    red = p.reduction
-    if not is_triangularizable_fast(p):
+    if p.obstruction is not None:
         return None
-    anchor = s.term(red.kept_indices[0])
+    anchor = s.term(p.reduction.kept_indices[0])
     ev = eigenvalues_in_ring(anchor)
     if ev is None:
-        raise InternalInconsistency("criterion passed but anchor has no eigenvalues")
+        return None
     candidates = [ev[0]] if ev[0] == ev[1] else [ev[0], ev[1]]
     nonscalar = [t for t in s.terms if not t.is_scalar()]
     for lam in candidates:

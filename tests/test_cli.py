@@ -309,6 +309,48 @@ class TestReconstruct:
         assert code == 2
 
 
+class TestReconstructSchema:
+    """n is a JSON integer or a digit string and plucker_full a JSON boolean;
+    anything else is an input error, not a silent coercion."""
+
+    PHI = {"ring": {"kind": "Q"}, "values": ["2", "4", "1", "7", "2"]}
+    PSI = {"ring": {"kind": "Q"}, "n": 3,
+           "values": ["1", "1", "0", "0", "1", "0"], "proj": ["1", "2"]}
+
+    def _run(self, tmp_path, capsys, doc, form):
+        code = main(["reconstruct", write(tmp_path, "v.json", doc), "--form", form])
+        return code, capsys.readouterr()
+
+    def test_digit_string_n_accepted(self, tmp_path, capsys):
+        code, out = self._run(tmp_path, capsys, {**self.PHI, "n": "2"}, "ss")
+        assert code == 0
+        assert json.loads(out.out)["matrices"][0] == [["2", "0"], ["0", "0"]]
+
+    @pytest.mark.parametrize("n", [2.9, True, None, [2]], ids=repr)
+    @pytest.mark.parametrize("form", ["ss", "tri"])
+    def test_non_integer_n_rejected(self, tmp_path, capsys, n, form):
+        doc = {**(self.PHI if form == "ss" else self.PSI), "n": n}
+        code, out = self._run(tmp_path, capsys, doc, form)
+        assert code == 2 and out.out == ""
+        assert "n must be an integer" in out.err
+
+    def test_float_string_n_rejected(self, tmp_path, capsys):
+        code, out = self._run(tmp_path, capsys, {**self.PHI, "n": "2.9"}, "ss")
+        assert code == 2 and out.out == ""
+
+    @pytest.mark.parametrize("flag", ["false", 0, 1, None], ids=repr)
+    def test_non_boolean_plucker_full_rejected(self, tmp_path, capsys, flag):
+        code, out = self._run(tmp_path, capsys, {**self.PSI, "plucker_full": flag}, "tri")
+        assert code == 2 and out.out == ""
+        assert "plucker_full must be a boolean" in out.err
+
+    def test_boolean_plucker_full_accepted(self, tmp_path, capsys):
+        code, _ = self._run(tmp_path, capsys, {**self.PSI, "plucker_full": False}, "tri")
+        assert code == 0
+        code, out = self._run(tmp_path, capsys, {**self.PSI, "plucker_full": True}, "tri")
+        assert code == 2 and "first pair commutes" in out.err
+
+
 class TestOracleVerb:
     def test_tri(self, tmp_path, capsys):
         f = write(tmp_path, "s.json", STABLE_GF5)

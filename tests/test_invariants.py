@@ -16,6 +16,7 @@ from matseq import (
     big_delta_explicit,
     big_delta_from_gram,
     check_drensky_relations,
+    commutes,
     conjugate,
     drensky_relation_linear,
     drensky_relation_product,
@@ -30,7 +31,7 @@ from matseq import (
     tau_explicit,
     trace_word,
 )
-from matseq.errors import BadIndex, Char2Unsupported, LengthTooShort
+from matseq.errors import BadIndex, Char2Unsupported, LengthTooShort, RingMismatch
 
 from genseq import rand_group_element, rand_mat, rand_seq
 
@@ -142,6 +143,24 @@ class TestTauSigmaDelta:
         x = mat2(Z, [[1, 2], [3, 4]])
         p = x * x + x.scale(Z(3))
         assert sigma(x, p) == Z(0)
+
+
+class TestKernelWrappersCheckTheRing:
+    """The entry-vector closed forms refuse operands over different rings,
+    even when the matrices have the same entries."""
+
+    @pytest.mark.parametrize("other", [GF(5), Z], ids=repr)
+    @pytest.mark.parametrize("func, arity", [(commutes, 2), (sigma_explicit, 2),
+                                             (big_delta_explicit, 3)],
+                             ids=["commutes", "sigma_explicit", "big_delta_explicit"])
+    def test_mixed_rings_raise(self, func, arity, other):
+        x = mat2(Q, [[1, 2], [3, 4]])
+        y = mat2(other, [[1, 2], [3, 4]])
+        for pos in range(arity):
+            args = [x] * arity
+            args[pos] = y
+            with pytest.raises(RingMismatch):
+                func(*args)
 
 
 class TestDrensky:

@@ -561,3 +561,54 @@ class TestOneSinglet:
                     s = MatSeq([x, y, z])
                     if first_obstruction(s) is None:
                         assert is_triangularizable(s) == _all_singlets(s), s
+
+
+# (ring, anchor) with the anchor's characteristic polynomial irreducible
+# over the ring: no eigenvalue in the ring.  Over Z a square discriminant
+# r^2 = t^2 - 4 det always has r = t mod 2, so only a non-square fails.
+IRRATIONAL_ANCHORS = [
+    (Z, [[0, 2], [1, 0]]),
+    (Q, [[0, 2], [1, 0]]),
+    (GF(2), [[0, 1], [1, 1]]),
+    (GF(3), [[0, 2], [1, 0]]),
+    (QSqrt(2), [[0, 3], [1, 0]]),
+    (QT, [[0, QT([0, 1])], [1, 0]]),
+]
+
+
+class TestTriangularizeMatchesCriterion:
+    """``triangularize`` decides from the profile and the anchor's
+    eigenvalues: a witness exactly when ``is_triangularizable`` holds, also
+    on obstruction-free sequences whose anchor has no eigenvalue in the ring."""
+
+    @pytest.mark.parametrize("ring, rows", IRRATIONAL_ANCHORS,
+                             ids=[repr(r) for r, _ in IRRATIONAL_ANCHORS])
+    def test_witness_exactly_when_triangularizable(self, ring, rows):
+        rng = random.Random(f"tri-criterion-{ring!r}")
+        a = mat2(ring, rows)
+        assert eigenvalues_in_ring(a) is None
+        one = Mat2.identity(ring)
+        outside = 0
+        for i in range(90):
+            n = rng.randint(2, 5)
+            if i % 3 == 0:
+                # polynomials x + y A in the anchor, after optional scalars
+                lead = _scalars(rng, ring, rng.randint(0, 2))
+                poly = [a.scale(_nonzero(rng, ring)) + one.scale(rand_scalar(rng, ring, 3))]
+                poly += [a.scale(rand_scalar(rng, ring, 3)) + one.scale(rand_scalar(rng, ring, 3))
+                         for _ in range(n - 1)]
+                s = MatSeq(lead + poly)
+                assert first_obstruction(s) is None
+            elif i % 3 == 1:
+                s = rand_triangularizable_seq(rng, ring, n)
+            else:
+                s = rand_seq(rng, ring, n)
+            w = triangularize(s)
+            assert (w is not None) == is_triangularizable(s), s
+            if w is None:
+                outside += i % 3 == 0
+                continue
+            assert w.triangular.is_upper_triangular()
+            assert conjugate(w.g, s).terms == w.triangular.terms
+        assert outside == 30
+
