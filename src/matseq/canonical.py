@@ -110,30 +110,30 @@ def _front_perm(front: tuple[int, ...], n: int) -> tuple[int, ...]:
 def _case(p: Profile) -> tuple[CanonicalTag, tuple[int, ...]]:
     """The canonical-form case of p and the 0-based terms its form puts
     first (none when commutative), from one set of discriminant tests."""
-    s = p.seq
-    if not s.ring.is_field:
+    ring = p.seq.ring
+    if not ring.is_field:
         raise UnsupportedRing("canonical forms are computed over fields")
     kept = [i - 1 for i in p.reduction.kept_indices]
     if len(kept) <= 1:
         if not kept:
             return CanonicalTag.ALL_SCALAR, ()
-        if s[kept[0]].disc().is_zero():
+        if p.is_flat(kept[0]):
             return CanonicalTag.COMM_JORDAN_LIKE, ()
         return CanonicalTag.COMM_DIAGONAL, ()
-    if s.ring.characteristic() == 2:
+    if ring.characteristic() == 2:
         raise Char2Unsupported("non-commutative canonical forms need characteristic != 2")
     obstruction = p.obstruction
     if obstruction is None:
-        flat = next((i for i in kept if s[i].disc().is_zero()), None)
+        flat = next((i for i in kept if p.is_flat(i)), None)
         if flat is None:
             return CanonicalTag.TRI_2A, (kept[0], kept[1])
-        return CanonicalTag.TRI_2B, (next(i for i in kept if not s[i].disc().is_zero()), flat)
+        return CanonicalTag.TRI_2B, (next(i for i in kept if not p.is_flat(i)), flat)
     if len(obstruction) == 3:
         return CanonicalTag.STABLE_1C, obstruction
     j, k = obstruction
-    if not s[j].disc().is_zero():
+    if not p.is_flat(j):
         return CanonicalTag.STABLE_1A, (j, k)
-    if s[k].disc().is_zero():
+    if p.is_flat(k):
         return CanonicalTag.STABLE_1B, (j, k)
     # the diagonalizable member of the pair goes first
     return CanonicalTag.STABLE_1A, (k, j)

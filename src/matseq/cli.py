@@ -78,7 +78,7 @@ def _cmd_analyze(obj, verify: bool):
         "ring": ring_to_json(s.ring),
         "n": s.n,
         "commutative": is_commutative(p),
-        "all_scalar": s.all_scalar(),
+        "all_scalar": red.all_scalar,
         "reduced_length": red.reduced_length,
         "kept_indices": list(red.kept_indices),
         "triangularizable": verdict,

@@ -36,9 +36,16 @@ def _require_odd_char(ring, what: str) -> None:
 # the raw entry-vector kernel: v = (b, a - d, c) on raw ring values
 
 
-def _vector(m: Mat2) -> tuple:
-    """The raw entry vector (b, a - d, c) of m."""
-    return (m.b.value, m.ring.sub(m.a.value, m.d.value), m.c.value)
+def _vector(ring, x: tuple) -> tuple:
+    """The raw entry vector (b, a - d, c) of the raw row-major 2x2 term x."""
+    return (x[1], ring.sub(x[0], x[3]), x[2])
+
+
+def _disc(ring, v: tuple):
+    """The discriminant e^2 + 4bc of the term with raw entry vector
+    v = (b, e, c); it equals tr^2 - 4 det in every characteristic."""
+    b, e, c = v
+    return ring.add(ring.mul(e, e), ring.mul(ring.from_int(4), ring.mul(b, c)))
 
 
 def _vanish(ring, xs) -> bool:
@@ -114,7 +121,8 @@ def sigma_explicit(x: Mat2, y: Mat2) -> Scalar:
     (b_x e_y - e_x b_y)(c_x e_y - e_x c_y) - (b_x c_y - c_x b_y)^2.
     """
     ring = x._ring_with(y)
-    return Scalar(ring, _sigma_of_minors(ring, _minors(ring, _vector(x), _vector(y))))
+    m = _minors(ring, _vector(ring, x.raw), _vector(ring, y.raw))
+    return Scalar(ring, _sigma_of_minors(ring, m))
 
 
 def sigma_from_tau(x: Mat2, y: Mat2) -> Scalar:
@@ -141,7 +149,8 @@ def big_delta_explicit(x: Mat2, y: Mat2, z: Mat2) -> Scalar:
     """The squared 3x3 determinant with columns (b_j, e_j, c_j)."""
     ring = x._ring_with(y)
     y._ring_with(z)
-    det = _det_against(ring, _minors(ring, _vector(x), _vector(y)), _vector(z))
+    det = _det_against(ring, _minors(ring, _vector(ring, x.raw), _vector(ring, y.raw)),
+                       _vector(ring, z.raw))
     return Scalar(ring, ring.mul(det, det))
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import BadIndex, ExactDivisionError, RingMismatch
-from .rings import RingDescriptor, Scalar, ring_from_json, ring_to_json, scalar_from_json
+from .rings import RingDescriptor, Scalar, ring_from_json, ring_to_json
 
 
 class Mat2:
@@ -316,15 +316,15 @@ def matseq_from_json(obj) -> MatSeq:
     mats = obj["matrices"]
     if not isinstance(mats, list) or not mats:
         raise ValueError("'matrices' must be a nonempty list")
+    # one ring for every entry, so each term is built from raw values
+    conv = ring.value_from_json
     terms = []
     for rows in mats:
         if (not isinstance(rows, list) or len(rows) != 2
                 or any(not isinstance(r, list) or len(r) != 2 for r in rows)):
             raise ValueError(f"bad 2x2 matrix: {rows!r}")
-        terms.append(Mat2(scalar_from_json(ring, rows[0][0]),
-                          scalar_from_json(ring, rows[0][1]),
-                          scalar_from_json(ring, rows[1][0]),
-                          scalar_from_json(ring, rows[1][1])))
+        (a, b), (c, d) = rows
+        terms.append(Mat2._of(ring, (conv(a), conv(b), conv(c), conv(d))))
     return MatSeq(terms)
 
 

@@ -22,8 +22,15 @@ convolution sum.
 
 ``ring.cleared(terms)`` is the decider boundary: Q clears each raw 2x2 term
 to an integer matrix over Z with one lcm per term, and the other rings
-return their input.  The reduction, the obstruction scan and ``are_similar``
-run on the cleared terms; printed values are never read from them.
+return their input.  The reduction, the obstruction scan and the
+zero-discriminant tests read the entry vectors of the cleared terms (kept
+by ``triangular.Profile``), and ``are_similar`` runs on the cleared terms;
+printed values are never read from them.
+
+Rational strings are parsed by ``_parse_fraction``: the common
+``[+-]digits[/digits]`` by splitting at ``/`` and ``str.isdecimal``, every
+other string by one regex; the split accepts only strings the regex would
+accept, with the same value.
 
 Every value is kept canonical, so ``==`` and ``hash`` on :class:`Scalar` are
 structural.  Canonical square roots: nonnegative over Q, the least residue in
@@ -318,8 +325,24 @@ _RATIONAL = re.compile(r"\s*([+-]?)(?:(\d+)(?:/(\d+))?|(?=\.?\d)(\d*)\.(\d*))\s*
 
 def _parse_fraction(x) -> Fraction:
     """A Fraction from a Fraction, an int or a string: optional sign, digits,
-    then a /denominator or a decimal point; no exponent, nonzero denominator."""
-    if isinstance(x, Fraction):
+    then a /denominator or a decimal point; no exponent, nonzero denominator.
+
+    The common ``[+-]digits[/digits]`` skips the regex: ``isdecimal`` accepts
+    the same Unicode digits as ``\\d``.  Every other string, a zero
+    denominator included, goes to the regex, which decides and words the
+    refusal."""
+    if x.__class__ is str:
+        num, slash, den = x.partition("/")
+        neg = num[:1] == "-"
+        if neg or num[:1] == "+":
+            num = num[1:]
+        if num.isdecimal():
+            n = -int(num) if neg else int(num)
+            if not slash:
+                return Fraction(n)
+            if den.isdecimal() and (d := int(den)):
+                return Fraction(n, d)
+    elif isinstance(x, Fraction):
         return x
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)

@@ -170,7 +170,7 @@ def _similar(s1: MatSeq, s2: MatSeq) -> SimilarityWitness | None:
             return None
 
     # j the first non-scalar term, k the first that does not commute with it
-    j, k, _ = _greedy_pair(ring, [_vector(t) for t in s1.terms])
+    j, k, _ = _greedy_pair(ring, [_vector(ring, t.raw) for t in s1.terms])
     if j is None:
         # scalar sequences are similar exactly when equal
         return SimilarityWitness(Mat2.identity(ring)) if s1 == s2 else None
@@ -237,7 +237,7 @@ def is_semisimple(s: MatSeq | Profile) -> bool:
     if not is_commutative(p):
         return False
     kept = p.reduction.kept_indices
-    return not kept or not p.seq.term(kept[0]).disc().is_zero()
+    return not kept or not p.is_flat(kept[0] - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,14 @@ rank of the entry vectors: rank <= 1 has none, rank 2 has at most the pair
 of its first two independent vectors, and rank 3 scans the sigma pairs in
 order and falls back to the first independent triple.  Its cost is linear in
 the length for rank <= 2 (every triangularizable sequence) and at most
-quadratic for rank 3.  ``triangularize`` decides from the :class:`Profile`
-as ``is_triangularizable`` does.  The fast engine, kept as a second engine,
+quadratic for rank 3.
+
+A :class:`Profile` keeps the raw entry vectors of the terms of
+``ring.cleared`` (over Q, integer vectors over Z), computed once.
+``maximal_reduction`` and ``first_obstruction`` read them, given a profile
+or a sequence, and ``Profile.is_flat`` reads each term's discriminant
+e^2 + 4bc from them.  ``triangularize`` decides from the profile as
+``is_triangularizable`` does.  The fast engine, kept as a second engine,
 reduces first and, for reduced length >= 4, only tests sigma for pairs
 whose smaller index is 1, 2 or 3.
 """
@@ -28,10 +34,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ExactDivisionError, InternalInconsistency
-from .invariants import (_det_against, _greedy_pair, _minors, _sigma_of_minors, _vanish,
-                         _vector, sigma_explicit)
+from .invariants import (_det_against, _disc, _greedy_pair, _minors, _sigma_of_minors,
+                         _vanish, _vector, sigma_explicit)
 from .matcore import GroupElement, Mat2, MatSeq, conjugate
-from .rings import Scalar, bezout, primitive_vector, sqrt_in_ring
+from .rings import RingDescriptor, Scalar, bezout, primitive_vector, sqrt_in_ring
 
 
 @dataclass(frozen=True)
@@ -66,26 +72,26 @@ class TriangularizationWitness:
 def commutes(x: Mat2, y: Mat2) -> bool:
     """xy = yx, tested via the entry-vector minors (no matrix products)."""
     ring = x._ring_with(y)
-    return _vanish(ring, _minors(ring, _vector(x), _vector(y)))
+    return _vanish(ring, _minors(ring, _vector(ring, x.raw), _vector(ring, y.raw)))
 
 
-def maximal_reduction(s: MatSeq) -> ReductionInfo:
+def maximal_reduction(s: MatSeq | Profile) -> ReductionInfo:
     """Partition non-scalar terms into commuting classes; keep the first of each.
 
     Two non-scalar terms commute exactly when their entry vectors are
     proportional, which is exactly when the vectors have the same canonical
     unit-content multiple (``ring.primitive``); that multiple keys the class.
     """
-    ring = s.ring
+    ring, vs = Profile.of(s)._vectors
     classes: dict[tuple, list[int]] = {}
-    for i, v in enumerate(map(_vector, s.terms), start=1):
+    for i, v in enumerate(vs, start=1):
         if not _vanish(ring, v):
             classes.setdefault(ring.primitive(v), []).append(i)
     members = list(classes.values())
     return ReductionInfo(tuple(m[0] for m in members), tuple(tuple(m) for m in members))
 
 
-def first_obstruction(s: MatSeq) -> tuple[int, ...] | None:
+def first_obstruction(s: MatSeq | Profile) -> tuple[int, ...] | None:
     """The lexicographically first 0-based pair (j, k) with sigma != 0, else
     the first triple (j, k, l) with Delta != 0, else None.
 
@@ -101,9 +107,8 @@ def first_obstruction(s: MatSeq) -> tuple[int, ...] | None:
     first nonzero one.  The cost is linear in n up to rank 2 and at most
     quadratic in rank 3.
     """
-    ring = s.ring
+    ring, vs = Profile.of(s)._vectors
     is_zero = ring.is_zero
-    vs = [_vector(t) for t in s.terms]
     a, b, ab = _greedy_pair(ring, vs)
     if b is None:
         return None
@@ -121,9 +126,11 @@ def first_obstruction(s: MatSeq) -> tuple[int, ...] | None:
 
 class Profile:
     """A sequence with its maximal reduction and first obstruction, each
-    computed on first use and then shared by every decider given it, on the
-    terms of ``ring.cleared``: scaling a term changes neither its commuting
-    class nor whether a sigma or Delta vanishes."""
+    computed on first use and then shared by every decider given it.
+
+    All three read the raw entry vectors of the terms of ``ring.cleared``,
+    computed once: scaling a term changes neither its commuting class, nor
+    whether a sigma or Delta vanishes, nor whether its discriminant does."""
 
     def __init__(self, s: MatSeq):
         self.seq = s
@@ -134,18 +141,24 @@ class Profile:
         return s if isinstance(s, Profile) else cls(s)
 
     @cached_property
-    def _cleared(self) -> MatSeq:
-        ring = self.seq.ring
-        domain, terms, _ = ring.cleared(t.raw for t in self.seq.terms)
-        return self.seq if domain is ring else MatSeq(Mat2._of(domain, t) for t in terms)
+    def _vectors(self) -> tuple[RingDescriptor, list[tuple]]:
+        """(domain, the raw entry vectors of the cleared terms over it)."""
+        domain, terms, _ = self.seq.ring.cleared(t.raw for t in self.seq.terms)
+        return domain, [_vector(domain, t) for t in terms]
 
     @cached_property
     def reduction(self) -> ReductionInfo:
-        return maximal_reduction(self._cleared)
+        return maximal_reduction(self)
 
     @cached_property
     def obstruction(self) -> tuple[int, ...] | None:
-        return first_obstruction(self._cleared)
+        return first_obstruction(self)
+
+    def is_flat(self, i: int) -> bool:
+        """Whether term i (0-based) has a zero discriminant, so a single
+        eigenvalue; clearing multiplies the discriminant by a nonzero square."""
+        domain, vs = self._vectors
+        return domain.is_zero(_disc(domain, vs[i]))
 
 
 def is_commutative(s: MatSeq | Profile) -> bool:

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import matseq
-from matseq import Q, big_delta, first_obstruction, is_commutative, sigma
+from matseq import Mat2, Q, big_delta, first_obstruction, is_commutative, maximal_reduction, sigma
 from matseq.cli import main
 
 from genseq import rand_triangularizable_seq
@@ -195,16 +195,22 @@ class TestClassifyCanon:
 
 class TestObstructionScan:
     @pytest.mark.parametrize("verb", ["analyze", "classify", "canon"])
-    def test_one_scan_per_document(self, verb, tmp_path, capsys, count_calls):
+    def test_one_scan_per_document(self, verb, tmp_path, capsys, count_calls, monkeypatch):
         s = rand_triangularizable_seq(random.Random(8), Q, 8)
         assert not is_commutative(s)
         f = write(tmp_path, "s.json", s.to_json())
-        scans = count_calls(first_obstruction)
+        scans, reductions = count_calls(first_obstruction), count_calls(maximal_reduction)
         sigmas, deltas = count_calls(sigma), count_calls(big_delta)
+        discs, disc = [], Mat2.disc
+        monkeypatch.setattr(Mat2, "disc", lambda m: discs.append(None) or disc(m))
         code, _ = run(capsys, [verb, f])
         assert code == 0
         # the definitional sigma and Delta are reference checks only
-        assert (len(scans), len(sigmas), len(deltas)) == (1, 0, 0)
+        assert (len(scans), len(reductions), len(sigmas), len(deltas)) == (1, 1, 0, 0)
+        if verb != "canon":
+            # the Profile answers every zero-discriminant test; the one
+            # discriminant left is the singlet test of the first kept term
+            assert len(discs) <= 1
 
 
 class TestInvariants:

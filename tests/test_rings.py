@@ -1,6 +1,7 @@
 """Ring arithmetic, canonical square roots, gcd helpers, serialization."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -474,6 +475,46 @@ class TestScalarSyntax:
                 whole or "0", f"{whole or 0}/{rng.randrange(1, 10 ** 25)}",
                 f"{whole}.{frac}", f"{whole or 0}.", f".{frac}"])
             assert rings._parse_fraction(text) == Fraction(text), text
+
+    @staticmethod
+    def _outcome(parse, text):
+        try:
+            return parse(text)
+        except Exception as exc:  # the class is the outcome compared
+            return type(exc)
+
+    def test_fast_path_matches_regex_parser(self):
+        # the split-and-isdecimal path in front of the regex accepts, refuses
+        # and values exactly as the regex-only parser does
+        edge = ["-0", "+5", "1/0", "1/-2", "1 /2", " 1/2 ", "1_0", "\u0661\u0662/\u0663",
+                "--1", "1/", "/2", "+", "1" + "0" * 4999, "7/" + "3" * 5000, "-12/18"]
+        rng = random.Random(20)
+        alphabet = "0123456789" * 3 + "+-/._e "
+        texts = edge + ["".join(rng.choices(alphabet, k=rng.randint(0, 7))) for _ in range(3000)]
+        accepted = 0
+        for text in texts:
+            got = self._outcome(rings._parse_fraction, text)
+            assert got == self._outcome(_regex_parse_fraction, text), text
+            accepted += isinstance(got, Fraction)
+        assert accepted > 300, accepted
+
+
+_REGEX_RATIONAL = re.compile(r"\s*([+-]?)(?:(\d+)(?:/(\d+))?|(?=\.?\d)(\d*)\.(\d*))\s*")
+
+
+def _regex_parse_fraction(x):
+    """Reference: the regex-only string parser of ``rings._parse_fraction``."""
+    m = _REGEX_RATIONAL.fullmatch(x)
+    if m is None:
+        raise ValueError(f"expected a rational string, got {x!r}")
+    sign, num, den, whole, frac = m.groups()
+    if num is None:
+        n, d = int(whole or "0") * 10 ** len(frac) + int(frac or "0"), 10 ** len(frac)
+    else:
+        n, d = int(num), int(den or "1")
+        if d == 0:
+            raise ValueError(f"zero denominator in {x!r}")
+    return Fraction(-n if sign == "-" else n, d)
 
 
 # Reference kernels: the plain Fraction formulas that the integer kernels in

@@ -66,7 +66,7 @@ OBSTRUCTED_TRIPLE = [[[1, 0], [0, 0]], [[1, 1], [0, 0]], [[0, 0], [1, 1]]]
 def _first_noncommuting_pair(s):
     """The pair (a, b) of the greedy-pair helper: the first non-scalar term
     and the first later term that does not commute with it, or None."""
-    a, b, _ = _greedy_pair(s.ring, [_vector(t) for t in s.terms])
+    a, b, _ = _greedy_pair(s.ring, [_vector(s.ring, t.raw) for t in s.terms])
     return None if b is None else (a, b)
 
 

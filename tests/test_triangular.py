@@ -27,6 +27,7 @@ from matseq import (
     is_eigenvector,
     is_triangularizable,
     is_triangularizable_fast,
+    lift_seq,
     mat2,
     maximal_reduction,
     pair_triangularizable,
@@ -510,10 +511,37 @@ class TestClearedProfile:
                 s = _stable_1c_mix(rng, Q, rng.randint(0, 3))
             s = _widened(rng, s)
             p = Profile(s)
-            assert p.reduction == maximal_reduction(s), s
-            assert p.obstruction == first_obstruction(s), s
+            # Q[t] clears nothing, so its scans run on the uncleared values
+            uncleared = lift_seq(s, QT)
+            assert p.reduction == maximal_reduction(uncleared), s
+            assert p.obstruction == first_obstruction(uncleared), s
             kinds[None if p.obstruction is None else len(p.obstruction)] += 1
         assert all(v >= 10 for v in kinds.values()), kinds
+
+    @pytest.mark.parametrize("ring", [Z, Q, GF(2), GF(3), GF(5), QSqrt(2), QT], ids=repr)
+    def test_is_flat_matches_disc(self, ring):
+        rng = random.Random(f"flat/{ring!r}")
+        flats = 0
+        for _ in range(25):
+            s = MatSeq(_flat_or_not(rng, ring) for _ in range(4))
+            p = Profile(s)
+            got = [p.is_flat(i) for i in range(s.n)]
+            assert got == [t.disc().is_zero() for t in s.terms], s
+            flats += sum(got)
+        assert 25 <= flats <= 75, flats
+
+
+def _flat_or_not(rng, ring):
+    """Half the time a random term, else x I + y N with N = [[uv, -u^2],
+    [v^2, -uv]] nilpotent, whose discriminant is zero; wide entries over Q."""
+    if ring is Q:
+        draw = lambda: Q(rand_wide_fraction(rng))  # noqa: E731
+    else:
+        draw = lambda: rand_scalar(rng, ring, 3)  # noqa: E731
+    if rng.random() < 0.5:
+        return Mat2(draw(), draw(), draw(), draw())
+    x, y, u, v = draw(), draw(), draw(), draw()
+    return Mat2(x + y * u * v, -(y * u * u), y * v * v, x - y * u * v)
 
 
 def _all_singlets(s):
