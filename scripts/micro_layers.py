@@ -10,9 +10,16 @@ microseconds per call, with the number of calls timed.
   ``MatSeq.to_json``) parsed, per ring: Z, Q, GF(5), Q(sqrt 2) and Q[t].
 * ``profile``: a fresh ``Profile`` of a Q sequence and both of its facts,
   the maximal reduction and the first obstruction (clearing included).
-* ``first_obstruction``, ``classify``, ``canonicalize`` and ``phi_prime``
-  on Q sequences given as a ``MatSeq``, so each call starts from nothing.
-* ``brute_similar``: the GF(5) oracle on a sequence and a random conjugate.
+* ``conjugate``: a random invertible g applied to one sequence, per ring:
+  Z, Q, GF(5), Q(sqrt 2) and Q[t].
+* ``maximal_reduction``, ``first_obstruction``, ``classify``,
+  ``canonicalize`` and ``phi_prime`` on Q sequences given as a ``MatSeq``,
+  so each call starts from nothing.
+* ``psi_prime`` on triangularizable Q sequences in its domain whose first
+  term has two eigenvalues, and ``reconstruct_triangular`` on their values.
+* ``reconstruct_semisimple`` on admissible Q vectors of ``--n`` terms.
+* ``brute_similar`` and ``brute_triangularizable``: the GF(5) oracle on a
+  sequence of three terms and a random conjugate, and on a sequence alone.
 
 Half of each Q batch is triangularizable (a conjugate of an upper-triangular
 sequence), half random, as in the benchmark's long Q workload.  Seeds are
@@ -29,12 +36,15 @@ import statistics
 import sys
 import time
 
-from matseq import (GF, Profile, Q, QSqrt, QT, Z, brute_similar, canonicalize, classify,
-                    conjugate, first_obstruction, matseq_from_json, phi_prime)
+from matseq import (GF, Profile, Q, QSqrt, QT, Z, brute_similar, brute_triangularizable,
+                    canonicalize, classify, conjugate, first_obstruction, in_psi_domain,
+                    matseq_from_json, maximal_reduction, phi_prime, psi_prime,
+                    reconstruct_semisimple, reconstruct_triangular)
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "tests"))
-from genseq import rand_group_element, rand_seq, rand_triangularizable_seq  # noqa: E402
+from genseq import (rand_admissible_phi, rand_group_element, rand_seq,  # noqa: E402
+                    rand_triangularizable_seq)
 
 PARSE_RINGS = (("Z", Z), ("Q", Q), ("GF(5)", GF(5)), ("Q(sqrt2)", QSqrt(2)), ("Q[t]", QT))
 
@@ -68,12 +78,28 @@ def rows(args):
         rng = random.Random(f"{args.seed}/parse/{name}")
         docs = [(s.to_json(),) for s in sequences(rng, ring, args.docs, args.n)]
         yield "matseq_from_json", name, matseq_from_json, docs
+    for name, ring in PARSE_RINGS:
+        rng = random.Random(f"{args.seed}/conjugate/{name}")
+        conj = [(rand_group_element(rng, ring), s) for s in sequences(rng, ring, args.docs, args.n)]
+        yield "conjugate", name, conjugate, conj
     rng = random.Random(f"{args.seed}/Q")
     qs = [(s,) for s in sequences(rng, Q, args.docs, args.n)]
-    for layer, call in (("profile", profile), ("first_obstruction", first_obstruction),
+    for layer, call in (("profile", profile), ("maximal_reduction", maximal_reduction),
+                        ("first_obstruction", first_obstruction),
                         ("classify", classify), ("canonicalize", canonicalize),
                         ("phi_prime", phi_prime)):
         yield layer, "Q", call, qs
+    rng = random.Random(f"{args.seed}/psi")
+    tri = []
+    while len(tri) < args.docs:
+        s = rand_triangularizable_seq(rng, Q, args.n)
+        if in_psi_domain(s) and not s[0].disc().is_zero():   # reconstructible
+            tri.append((s,))
+    yield "psi_prime", "Q", psi_prime, tri
+    yield "reconstruct_triangular", "Q", reconstruct_triangular, [(psi_prime(s),) for s, in tri]
+    rng = random.Random(f"{args.seed}/phi")
+    phis = [(rand_admissible_phi(rng, args.n),) for _ in range(args.docs)]
+    yield "reconstruct_semisimple", "Q", reconstruct_semisimple, phis
     rng = random.Random(f"{args.seed}/oracle")
     gf = GF(5)
     pairs = []
@@ -81,6 +107,7 @@ def rows(args):
         s = rand_seq(rng, gf, 3)
         pairs.append((s, conjugate(rand_group_element(rng, gf), s)))
     yield "brute_similar", "GF(5)", brute_similar, pairs
+    yield "brute_triangularizable", "GF(5)", brute_triangularizable, [(s,) for s, _ in pairs]
 
 
 def main(argv=None) -> int:
@@ -90,10 +117,10 @@ def main(argv=None) -> int:
     ap.add_argument("--n", type=int, default=20, help="sequence length")
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
-    print(f"{'layer':<18} {'ring':<9} {'calls':>6} {'median_us':>10} {'iqr_us':>8}")
+    print(f"{'layer':<22} {'ring':<9} {'calls':>6} {'median_us':>10} {'iqr_us':>8}")
     for layer, ring, call, batch in rows(args):
         calls, med, iqr = per_call_us(call, batch, args.repeat)
-        print(f"{layer:<18} {ring:<9} {calls:>6} {med:>10.1f} {iqr:>8.1f}")
+        print(f"{layer:<22} {ring:<9} {calls:>6} {med:>10.1f} {iqr:>8.1f}")
     return 0
 
 

@@ -9,7 +9,8 @@ exactly one not), and three commutative ones (simultaneously diagonal,
 Jordan-like, all scalar).  ``canonicalize`` conjugates, after a deterministic
 rearrangement, onto a designated representative of the orbit; uniqueness
 comes from the residual stabilizer of the normalized leading pair being the
-scalars.
+scalars.  Every case but Stable1b conjugates once; the axis swap and the
+scaling to b2 = 1 that follow act on the entries and on the rows of g.
 
 ``reconstruct_semisimple`` and ``reconstruct_triangular`` invert the
 separating invariant maps; ``dual_sequence`` crosses between the two
@@ -51,7 +52,6 @@ from .triangular import (
     eigenvalues_in_ring,
     eigenvector_for,
     is_commutative,
-    is_eigenvector,
 )
 
 
@@ -177,15 +177,20 @@ def _basis_change(v: tuple[Scalar, Scalar], w: tuple[Scalar, Scalar]) -> GroupEl
 def _eigenbasis(s: MatSeq, k: int = 0, shared: int = 0) -> tuple[MatSeq, GroupElement, RingDescriptor | None]:
     """Lift s if the eigenvalues of s[k] need it, then conjugate onto the
     eigenbasis of s[k], first the eigenline that the first ``shared`` terms
-    also have (the first eigenvalue's if both do).  Returns (form, g, ext)."""
+    also have (the first eigenvalue's if both do): v1's when they all have
+    c = 0 on (v1, v2), else v2's, with the axes swapped.  Returns (form, g, ext)."""
     lam1, lam2, ext = _eigen_with_extension(s[k])
     s = _lift(s, ext)
-    v1 = primitive_vector(eigenvector_for(s[k], lam1))
-    v2 = primitive_vector(eigenvector_for(s[k], lam2))
-    for u, w in ((v1, v2), (v2, v1)):
-        if all(is_eigenvector(m, u) for m in s.terms[:shared]):
-            g = _basis_change(u, w)
-            return conjugate(g, s), g, ext
+    g = _basis_change(primitive_vector(eigenvector_for(s[k], lam1)),
+                      primitive_vector(eigenvector_for(s[k], lam2)))
+    t = conjugate(g, s)
+    lead = t.terms[:shared]
+    if all(m.c.is_zero() for m in lead):
+        return t, g, ext
+    if all(m.b.is_zero() for m in lead):
+        a, b, c, d = g.m.entries()
+        swapped = MatSeq(Mat2(m.d, m.c, m.b, m.a) for m in t.terms)
+        return swapped, GroupElement(Mat2(c, d, a, b)), ext
     raise InternalInconsistency("the leading terms share no eigenline")
 
 
@@ -214,10 +219,12 @@ def _lift(s: MatSeq, ext: RingDescriptor | None) -> MatSeq:
 def _unit_b2(tag: CanonicalTag, perm: tuple[int, ...], t: MatSeq, g1: GroupElement,
              ext: RingDescriptor | None) -> CanonicalResult:
     """The result for t = conjugate(g1, permuted input), after conjugating by
-    diag(1, b2), which divides the upper-right entries by b2 = t[1].b."""
-    ring = t.ring
-    g2 = GroupElement(Mat2(ring.one(), ring.zero(), ring.zero(), t[1].b))
-    return CanonicalResult(tag, perm, conjugate(g2, t), g2 * g1, ext)
+    diag(1, b2) with b2 = t[1].b != 0: each term (a, b, c, d) becomes
+    (a, b/b2, c b2, d), and g1's second row is multiplied by b2."""
+    b2, g = t[1].b, g1.m
+    form = MatSeq(Mat2(m.a, m.b / b2, m.c * b2, m.d) for m in t.terms)
+    g = GroupElement(Mat2(g.a, g.b, g.c * b2, g.d * b2))
+    return CanonicalResult(tag, perm, form, g, ext)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 A :class:`Mat2` stores four :class:`~matseq.rings.Scalar` entries over one
 ring; its arithmetic runs on their raw values through the descriptor's 2x2
-kernels (``ring.mat_mul``) and wraps each result once.  A :class:`MatSeq` is
+kernels (``ring.mat_mul``; ``ring.mat_conj`` for a conjugated sequence) and
+wraps each result once.  A :class:`MatSeq` is
 a nonempty tuple of same-ring matrices; the entry vectors a, b, c, d (and
 e = a - d) are exposed since most invariants are polynomial in them.  A :class:`GroupElement` wraps a matrix whose
 determinant is a unit, so its inverse exists over the same ring.
@@ -350,8 +351,8 @@ def conjugate_mat(g: GroupElement, m: Mat2) -> Mat2:
 def conjugate(g: GroupElement, s: MatSeq) -> MatSeq:
     """Termwise conjugation (g A_1 g^-1, ..., g A_n g^-1)."""
     ring = g.m._ring_with(s.terms[0])
-    mul, gm, ginv = ring.mat_mul, g.m.raw, g.inverse_matrix().raw
-    return MatSeq(Mat2._of(ring, mul(mul(gm, t.raw), ginv)) for t in s.terms)
+    out = ring.mat_conj(g.m.raw, g.inverse_matrix().raw, [t.raw for t in s.terms])
+    return MatSeq(Mat2._of(ring, x) for x in out)
 
 
 def commutator(x: Mat2, y: Mat2) -> Mat2:

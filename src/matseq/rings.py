@@ -18,14 +18,15 @@ Q(sqrt(d)) and Q[t] run on cleared integer numerators, with one Fraction built
 per result coefficient.  The 2x2 kernels ``mat_mul`` and ``mat_det`` on raw
 row-major 4-tuples clear each matrix once over Q and Q[t] (and ``mat_mul``
 over Q(sqrt(d))) and build each entry as one integer dot product or
-convolution sum.
+convolution sum.  The conjugation kernel ``mat_conj(g, h, xs)``, the g x h
+for every x, clears g and h once per call over Q and Q(sqrt(d)).
 
 ``ring.cleared(terms)`` is the decider boundary: Q clears each raw 2x2 term
 to an integer matrix over Z with one lcm per term, and the other rings
 return their input.  The reduction, the obstruction scan and the
 zero-discriminant tests read the entry vectors of the cleared terms (kept
-by ``triangular.Profile``), and ``are_similar`` runs on the cleared terms;
-printed values are never read from them.
+by ``triangular.Profile``), ``are_similar`` runs on the cleared terms, and
+``phi_prime`` maps each value back with ``ring.uncleared(value, scales)``.
 
 Rational strings are parsed by ``_parse_fraction``: the common
 ``[+-]digits[/digits]`` by splitting at ``/`` and ``str.isdecimal``, every
@@ -44,7 +45,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from math import gcd as _int_gcd, isqrt, lcm as _int_lcm
+from math import gcd as _int_gcd, isqrt, lcm as _int_lcm, prod
 from typing import Sequence
 
 from .errors import (
@@ -496,11 +497,20 @@ class RingDescriptor:
         a, b, c, d = x
         return self.sub(self.mul(a, d), self.mul(b, c))
 
+    def mat_conj(self, g, h, xs):
+        """[g x h for x in xs], the conjugation kernel: two products each."""
+        mul = self.mat_mul
+        return [mul(mul(g, x), h) for x in xs]
+
     def cleared(self, terms):
         """(domain, int_terms, scales) with term i of the iterable of raw
         4-tuples equal to int_terms[i] / scales[i], int_terms[i] raw over the
         subring domain; here (self, terms, None), nothing cleared."""
         return self, terms, None
+
+    def uncleared(self, value, scales):
+        """value / prod(scales) for a value over the domain of ``cleared``."""
+        return value
 
     # ring structure: the defaults are the field rules ----------------------
     def egcd(self, a, b):
@@ -693,10 +703,18 @@ class RationalRing(RingDescriptor):
         (a, b, c, d), den = _clear(x)
         return Fraction(a * d - b * c, den * den)
 
+    def mat_conj(self, g, h, xs):
+        (gs, dg), (hs, dh) = _clear(g), _clear(h)
+        return [tuple([Fraction(n, dg * dx * dh) for n in _imat_mul(_imat_mul(gs, ns), hs)])
+                for ns, dx in map(_clear, xs)]
+
     def cleared(self, terms):
         """Each term over Z, times the lcm of its denominators."""
         pairs = [_clear(t) for t in terms]
         return Z, [ns for ns, _ in pairs], [den for _, den in pairs]
+
+    def uncleared(self, value, scales):
+        return Fraction(value, prod(scales))
 
     def primitive(self, vals):
         """Coprime integers (Q is the fraction field of Z), first nonzero
@@ -871,6 +889,23 @@ class QuadExtRing(RingDescriptor):
         irr = zip(_imat_mul(x0, y1), _imat_mul(x1, y0))
         return tuple([(Fraction(p * dd + dn * q, den * dd), Fraction(u + v, den))
                       for (p, q), (u, v) in zip(rat, irr)])
+
+    def mat_conj(self, g, h, xs):
+        # with t = dd s, t*t = dn dd: each matrix is (X0 + X1 t)/den, integer X0, X1
+        dd, tt = self._dd, self._dn * self._dd
+
+        def split(x):
+            ns, den = _pclear(x)
+            return [dd * p for p, _ in ns], [q for _, q in ns], den * dd
+
+        def mul(x, y):
+            (x0, x1, dx), (y0, y1, dy) = x, y
+            return ([p + tt * q for p, q in zip(_imat_mul(x0, y0), _imat_mul(x1, y1))],
+                    [u + v for u, v in zip(_imat_mul(x0, y1), _imat_mul(x1, y0))], dx * dy)
+
+        g, h = split(g), split(h)
+        return [tuple([(Fraction(p, den), Fraction(q * dd, den)) for p, q in zip(y0, y1)])
+                for y0, y1, den in (mul(mul(g, split(x)), h) for x in xs)]
 
     def adjoin_sqrt(self, a):
         raise TowerTooDeep(f"sqrt of {self!r}:{a!r} needs a second quadratic extension")

@@ -33,7 +33,7 @@ from .errors import (
     RingMismatch,
     UnsupportedRing,
 )
-from .invariants import _greedy_pair, _vector, drensky_s, sigma_explicit, trace_word
+from .invariants import _greedy_pair, _vector, sigma_explicit, trace_word
 from .matcore import GroupElement, Mat2, MatSeq, subsequence
 from .rings import (
     RingDescriptor,
@@ -68,10 +68,9 @@ class SimilarityWitness:
 
     def apply(self, s: MatSeq) -> MatSeq:
         ring = self.m._ring_with(s.terms[0])
-        mul, div, det = ring.mat_mul, ring.div, self.m.det().value
-        m, adj = self.m.raw, self.m.adjugate().raw
-        return MatSeq(Mat2._of(ring, [div(x, det) for x in mul(mul(m, t.raw), adj)])
-                      for t in s.terms)
+        div, det = ring.div, self.m.det().value
+        out = ring.mat_conj(self.m.raw, self.m.adjugate().raw, [t.raw for t in s.terms])
+        return MatSeq(Mat2._of(ring, [div(x, det) for x in y]) for y in out)
 
 
 # ---------------------------------------------------------------------------
@@ -311,13 +310,27 @@ def _require_phi_input(s: MatSeq, what: str) -> None:
 
 
 def phi_prime(s: MatSeq) -> PhiVector:
-    """The 4n - 3 separating traces for semisimple sequences."""
+    """The 4n - 3 separating traces for semisimple sequences (see
+    :class:`PhiVector`), each a trace of a product of the ``ring.cleared``
+    terms mapped back by ``ring.uncleared``; s_12k = t_12k - t_k21 is
+    tr([A1, A2] Ak) with the commutator built once."""
     _require_phi_input(s, "phi_prime")
-    t = lambda *J: trace_word(s, J)
-    vals = [t(1), t(1, 1), t(2), t(2, 2), t(1, 2)]
-    for k in range(3, s.n + 1):
-        vals.extend([t(k), t(1, k), t(2, k), drensky_s(s, 1, 2, k)])
-    return PhiVector(s.ring, s.n, tuple(vals))
+    ring = s.ring
+    domain, xs, ds = ring.cleared([t.raw for t in s.terms])
+    ds, mul, sub = ds or [1] * s.n, domain.mat_mul, domain.sub
+
+    def value(x, *terms):
+        return Scalar(ring, ring.uncleared(domain.add(x[0], x[3]), [ds[i] for i in terms]))
+
+    x1, x2 = xs[0], xs[1]
+    com = [sub(p, q) for p, q in zip(mul(x1, x2), mul(x2, x1))]
+    vals = [value(x1, 0), value(mul(x1, x1), 0, 0), value(x2, 1), value(mul(x2, x2), 1, 1),
+            value(mul(x1, x2), 0, 1)]
+    for k in range(2, s.n):
+        xk = xs[k]
+        vals.extend([value(xk, k), value(mul(x1, xk), 0, k), value(mul(x2, xk), 1, k),
+                     value(mul(com, xk), 0, 1, k)])
+    return PhiVector(ring, s.n, tuple(vals))
 
 
 def in_phi_domain(s: MatSeq) -> bool:
@@ -331,7 +344,10 @@ def in_phi_domain(s: MatSeq) -> bool:
 
 
 def psi_prime(s: MatSeq) -> PsiValue:
-    """The separating value for triangularizable non-commutative sequences."""
+    """The separating value for triangularizable non-commutative sequences
+    over a field (the projective point divides by the leading delta)."""
+    if not s.ring.is_field:
+        raise UnsupportedRing("psi_prime needs a field; lift the sequence first")
     _require_phi_input(s, "psi_prime")
     p = Profile(s)
     if is_commutative(p):
@@ -360,8 +376,8 @@ def psi_prime(s: MatSeq) -> PsiValue:
 
 
 def in_psi_domain(s: MatSeq) -> bool:
-    """Whether psi_prime separates here: triangularizable over the ring,
-    non-commutative, first pair non-commuting."""
-    if s.n < 2 or s.ring.characteristic() == 2:
+    """Whether psi_prime separates here: a field of characteristic != 2,
+    triangularizable over it, first pair non-commuting."""
+    if s.n < 2 or not s.ring.is_field or s.ring.characteristic() == 2:
         return False
     return not commutes(s[0], s[1]) and triangularize(s) is not None

@@ -1,6 +1,7 @@
 """Canonical tags and forms, duals, reconstruction, desingularization."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,10 @@ from hypothesis import strategies as st
 from matseq import (
     GF,
     CanonicalTag,
+    GroupElement,
     Mat2,
+    MatSeq,
+    Profile,
     PhiVector,
     Q,
     QSqrt,
@@ -21,11 +25,14 @@ from matseq import (
     conjugate,
     desingularize_for_reconstruction,
     dual_sequence,
+    eigenvector_for,
     embed,
     in_phi_domain,
+    is_eigenvector,
     lift_seq,
     mat2,
     phi_prime,
+    primitive_vector,
     psi_prime,
     reconstruct_semisimple,
     reconstruct_triangular,
@@ -41,11 +48,14 @@ from matseq.errors import (
     NotApplicable,
     NotCanonical1a,
     NotCommutative,
+    TowerTooDeep,
     UnsupportedRing,
     ZeroC2,
 )
 
-from genseq import rand_admissible_phi, rand_group_element, rand_scalar, rand_seq
+from matseq import canonical
+
+from genseq import rand_admissible_phi, rand_group_element, rand_mat, rand_scalar, rand_seq
 
 OBSTRUCTED_TRIPLE = [[[1, 0], [0, 0]], [[1, 1], [0, 0]], [[0, 0], [1, 1]]]
 
@@ -458,3 +468,106 @@ class TestUniqueness:
         assert phi_prime(s1) == phi_prime(s2)
         assert are_similar(s1, s2) is None
         assert not in_phi_domain(s1) and not in_phi_domain(s2)
+
+
+# ---------------------------------------------------------------------------
+# one conjugation per canonical form
+
+
+def _affine(rng, m):
+    """x m + y I for random x != 0 and y: keeps which pairs commute and
+    which sigma and Delta vanish."""
+    ring = m.ring
+    x = rand_scalar(rng, ring)
+    while x.is_zero():
+        x = rand_scalar(rng, ring)
+    return m.scale(x) + Mat2.identity(ring).scale(rand_scalar(rng, ring))
+
+
+def _tagged_input(rng, ring, tag, n):
+    """A conjugated sequence of n terms that usually has the given tag."""
+    zero, one = ring.zero(), ring.one()
+    if tag is CanonicalTag.STABLE_1C:
+        base = [mat2(ring, m) for m in OBSTRUCTED_TRIPLE]
+        terms = [_affine(rng, m) for m in base] + [_affine(rng, rng.choice(base))
+                                                   for _ in range(n - 3)]
+    elif tag is CanonicalTag.COMM_JORDAN_LIKE:
+        terms = [_affine(rng, Mat2(zero, one, zero, zero)) for _ in range(n)]
+    elif tag is CanonicalTag.COMM_DIAGONAL:
+        a = rand_mat(rng, ring)
+        terms = [_affine(rng, a) for _ in range(n)]
+    elif tag is CanonicalTag.ALL_SCALAR:
+        terms = [Mat2.identity(ring).scale(rand_scalar(rng, ring)) for _ in range(n)]
+    elif tag is CanonicalTag.STABLE_1A:
+        terms = list(rand_seq(rng, ring, n).terms)
+    else:
+        terms = [Mat2(rand_scalar(rng, ring), rand_scalar(rng, ring), zero,
+                      rand_scalar(rng, ring)) for _ in range(n)]
+        if tag is CanonicalTag.TRI_2B:
+            i = rng.randrange(1, n)
+            terms[i] = Mat2(terms[i].a, terms[i].b, zero, terms[i].a)
+    rng.shuffle(terms)
+    return conjugate(rand_group_element(rng, ring), MatSeq(terms))
+
+
+def _two_step(s):
+    """The canonical result of the eigenbasis tags by the earlier path:
+    conjugate onto the eigenbasis whose first line the leading terms share
+    (found by is_eigenvector), then by diag(1, b2).  Returns (result,
+    branch), branch 1 when the shared line is the second eigenvalue's."""
+    tag, front = canonical._case(Profile(s))
+    perm = canonical._front_perm(front, s.n)
+    sp = s.permuted(perm)
+    shared = 2 if tag is CanonicalTag.STABLE_1C else s.n
+    lam1, lam2, ext = canonical._eigen_with_extension(sp[0])
+    sp = sp if ext is None else lift_seq(sp, ext)
+    v1 = primitive_vector(eigenvector_for(sp[0], lam1))
+    v2 = primitive_vector(eigenvector_for(sp[0], lam2))
+    for branch, (u, w) in enumerate(((v1, v2), (v2, v1))):
+        if all(is_eigenvector(m, u) for m in sp.terms[:shared]):
+            g1 = canonical._basis_change(u, w)
+            t = conjugate(g1, sp)
+            ring = t.ring
+            g2 = GroupElement(Mat2(ring.one(), ring.zero(), ring.zero(), t[1].b))
+            return canonical.CanonicalResult(tag, perm, conjugate(g2, t), g2 * g1, ext), branch
+    raise AssertionError("the leading terms share no eigenline")
+
+
+class TestOneConjugation:
+    BRANCH_TAGS = (CanonicalTag.TRI_2A, CanonicalTag.TRI_2B, CanonicalTag.STABLE_1C)
+
+    @pytest.mark.parametrize("ring", [Q, GF(7), QSqrt(2)], ids=repr)
+    def test_eigenline_branches_match_the_two_step_path(self, ring):
+        rng = random.Random(f"eigenline/{ring!r}")
+        hits = Counter()
+        for i in range(90):
+            s = _tagged_input(rng, ring, self.BRANCH_TAGS[i % 3], rng.randint(3, 5))
+            tag = classify(s)
+            if tag not in self.BRANCH_TAGS:
+                continue
+            got = canonicalize(s)
+            want, branch = _two_step(s)
+            assert got == want
+            assert got.to_json() == want.to_json()
+            hits[tag, branch] += 1
+        assert set(hits) == {(tag, b) for tag in self.BRANCH_TAGS for b in (0, 1)}, hits
+
+    def test_one_conjugate_call_per_document(self, count_calls):
+        rng = random.Random("one-conjugation")
+        cases = [_tagged_input(rng, ring, tag, rng.randint(3, 5))
+                 for ring in (Q, GF(7), QSqrt(2)) for tag in CanonicalTag
+                 if tag is not CanonicalTag.STABLE_1B for _ in range(4)]
+        cases.append(seq(Q, [[[0, 1], [2, 0]], [[1, 2], [4, 1]]]))   # needs Q(sqrt 2)
+        calls = count_calls(conjugate)
+        seen = set()
+        for s in cases:
+            calls.clear()
+            try:
+                tag = canonicalize(s).tag
+            except (UnsupportedRing, TowerTooDeep):   # no extension of GF(7), Q(sqrt 2)
+                continue
+            if tag is CanonicalTag.STABLE_1B:
+                continue
+            assert len(calls) == (0 if tag is CanonicalTag.ALL_SCALAR else 1), tag
+            seen.add(tag)
+        assert seen == set(CanonicalTag) - {CanonicalTag.STABLE_1B}

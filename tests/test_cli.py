@@ -241,6 +241,14 @@ class TestInvariants:
         assert code == 0
         assert doc["proj"] == ["1", "2"]
 
+    def test_psi_refuses_the_integers(self, tmp_path, capsys):
+        # the leading delta 10 is no unit of Z: a refusal (3), not an input error
+        f = write(tmp_path, "s.json",
+                  {"ring": {"kind": "Z"},
+                   "matrices": [[["1", "2"], ["0", "3"]], [["2", "4"], ["0", "1"]]]})
+        assert main(["invariants", f, "--psi"]) == 3
+        assert "needs a field" in capsys.readouterr().err
+
     def test_all_words(self, tmp_path, capsys):
         f = write(tmp_path, "s.json", PAIR_Q)
         code, doc = run(capsys, ["invariants", f, "--all-words", "2"])

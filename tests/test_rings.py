@@ -38,6 +38,8 @@ from matseq.errors import (
 )
 from matseq import rings
 
+from genseq import rand_wide_fraction
+
 RINGS = [Z, Q, GF(2), GF(3), GF(7), QSqrt(5), QSqrt(-1), QT]
 
 
@@ -658,3 +660,33 @@ class TestIntegerKernels:
             quotients = [_ref_pdivmod(v, g)[0] for v in vals]
             lc = next(v for v in quotients if v)[-1]
             assert QT.primitive(vals) == tuple(tuple(c / lc for c in v) for v in quotients)
+
+
+class TestMatConj:
+    """ring.mat_conj(g, h, xs) against two products per term, both with the
+    ring's own mat_mul and with the entrywise formula of the base class."""
+
+    @pytest.mark.parametrize("ring", [
+        Z, Q, GF(2), GF(5), QSqrt(2), QSqrt(Fraction(3, 8)), Q.adjoin_sqrt(Fraction(-3, 8))[1], QT,
+    ], ids=repr)
+    def test_matches_two_products(self, ring):
+        rng = random.Random(f"mat_conj/{ring!r}")
+        if ring is Q:
+            draw = lambda: rand_wide_fraction(rng) if rng.random() < 0.8 else Fraction(0)
+        elif ring.kind == "Qsqrt":
+            draw = lambda: (_rand_fraction(rng), _rand_fraction(rng))
+        elif ring is QT:
+            draw = lambda: _rand_poly(rng, 2)
+        else:
+            draw = lambda: ring.coerce(rng.randint(-9, 9))
+        entrywise = lambda x, y: rings.RingDescriptor.mat_mul(ring, x, y)
+        for _ in range(40):
+            g, h = (tuple(draw() for _ in range(4)) for _ in range(2))
+            xs = [tuple(draw() for _ in range(4)) for _ in range(rng.randrange(1, 4))]
+            got = ring.mat_conj(g, h, xs)
+            assert got == [ring.mat_mul(ring.mat_mul(g, x), h) for x in xs]
+            assert got == [entrywise(entrywise(g, x), h) for x in xs]
+
+    def test_uncleared(self):
+        assert Q.uncleared(6, [4, 3]) == Fraction(1, 2)
+        assert Z.uncleared(6, None) == 6 and GF(5).uncleared(3, [1]) == 3

@@ -43,7 +43,7 @@ from matseq.errors import (
     RingMismatch,
     UnsupportedRing,
 )
-from matseq.invariants import _greedy_pair, _minors, _vector
+from matseq.invariants import _greedy_pair, _minors, _vector, drensky_s, trace_word
 from matseq.similarity import (
     _anchor_intertwiner,
     _pair_intertwiner,
@@ -533,7 +533,31 @@ class TestStableSemisimple:
         assert is_semisimple(s) == is_semisimple(t)
 
 
+def _reference_phi(s):
+    """phi_prime by its defining formula: trace words and drensky_s."""
+    t = lambda *J: trace_word(s, J)
+    vals = [t(1), t(1, 1), t(2), t(2, 2), t(1, 2)]
+    for k in range(3, s.n + 1):
+        vals.extend([t(k), t(1, k), t(2, k), drensky_s(s, 1, 2, k)])
+    return PhiVector(s.ring, s.n, tuple(vals))
+
+
 class TestPhiPrime:
+    @pytest.mark.parametrize("ring", [Z, Q, GF(3), GF(5), QSqrt(2), QT], ids=repr)
+    def test_matches_the_trace_word_formula(self, ring):
+        rng = random.Random(f"phi-formula/{ring!r}")
+        for n in range(2, 7):
+            for _ in range(4):
+                if ring is Q:
+                    s = MatSeq(Mat2(*(Q(rand_wide_fraction(rng)) for _ in range(4)))
+                               for _ in range(n))
+                else:
+                    s = rand_seq(rng, ring, n)
+                got, want = phi_prime(s), _reference_phi(s)
+                assert got == want
+                assert got.to_json() == want.to_json()
+                assert [type(v.value) for v in got.values] == [type(v.value) for v in want.values]
+
     def test_worked_pair(self):
         s = seq(Q, [[[2, 0], [0, 0]], [[1, 1], [3, 0]]])
         v = phi_prime(s)
@@ -648,6 +672,18 @@ class TestPsiPrime:
         s = seq(Q, [[[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 2], [0, 1]]])
         v = psi_prime(s)
         assert PsiValue.from_json(v.to_json()) == v
+
+    @pytest.mark.parametrize("ring", [Z, QT], ids=repr)
+    def test_refuses_rings_that_are_not_fields(self, ring):
+        # the projective point divides by the leading delta, 10 here; a
+        # unit lead is refused too, and so is a one-term sequence
+        for mats in ([[[1, 2], [0, 3]], [[2, 4], [0, 1]]],
+                     [[[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 2], [0, 1]]],
+                     [[[1, 2], [0, 3]]]):
+            s = seq(ring, mats)
+            with pytest.raises(UnsupportedRing):
+                psi_prime(s)
+            assert not in_psi_domain(s)
 
 
 def _widening(rng, s):
